@@ -2,13 +2,14 @@
 //!
 //! For dense graphs over small active domains, tuple-based evaluation of TC
 //! and SG materializes intermediate results orders of magnitude larger than
-//! the input; the paper replaces hash-based join + dedup with an `n × n`
-//! bit matrix, "naturally merging the join and deduplication into one single
-//! stage". This crate implements:
+//! the input; the paper replaces hash-based join + dedup with a bit matrix
+//! over the vertex domain, "naturally merging the join and deduplication
+//! into one single stage". This crate implements:
 //!
-//! * [`matrix::BitMatrix`] — the atomic bit matrix;
+//! * [`matrix::BitMatrix`] — the atomic `rows × n` bit matrix, storing only
+//!   the rows a kernel can fill;
 //! * [`tc`] — Algorithm 2: zero-coordination row-partitioned transitive
-//!   closure;
+//!   closure, one row per distinct seed source;
 //! * [`sg`] — Algorithm 3: same-generation with the `Varc` vector index,
 //!   plus the coordinated variant of Figure 7 (work re-balancing through a
 //!   global pool once a thread's local δ exceeds a threshold).
@@ -22,7 +23,7 @@ pub use sg::{
     sg_closure, sg_closure_coordinated, sg_closure_coordinated_seeded, sg_closure_seeded,
     CoordStats,
 };
-pub use tc::{tc_closure, tc_closure_seeded};
+pub use tc::{seed_rows, tc_closure, tc_closure_seeded};
 
 /// Adjacency-list index `Varc[x] = { y | arc(x, y) }` (paper Algorithm 3
 /// line 4). Also serves as the `Marc` virtual bit matrix of Algorithm 2 —

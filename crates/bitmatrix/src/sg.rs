@@ -20,48 +20,57 @@ use recstep_common::sched::ThreadPool;
 
 use crate::{AdjIndex, BitMatrix};
 
-/// Seed `Msg` and return the adjacency index shared by both variants.
-/// With `seeds = None` the same-parent pairs of Algorithm 3 line 9 are
-/// generated; otherwise the provided pairs (e.g. an already-evaluated seed
-/// stratum) initialize the matrix.
+/// Seed `Msg` and return the adjacency index shared by both variants, plus
+/// the number of bits set. `Msg` stores all `n` rows: δ writes into
+/// arbitrary rows, so slots are vertices. With `seeds = None` the
+/// same-parent pairs of Algorithm 3 line 9 are generated; otherwise the
+/// provided pairs (e.g. an already-evaluated seed stratum) initialize the
+/// matrix.
 fn seed(
     pool: &ThreadPool,
     n: usize,
     edges: &[(u32, u32)],
     seeds: Option<&[(u32, u32)]>,
-) -> (AdjIndex, BitMatrix) {
+) -> (AdjIndex, BitMatrix, usize) {
     let arc = AdjIndex::new(n, edges);
     let msg = BitMatrix::new(n);
+    let ones = AtomicUsize::new(0);
     match seeds {
         Some(pairs) => {
             pool.parallel_for(pairs.len(), 4096, |range, _| {
+                let mut fresh = 0usize;
                 for e in range {
                     let (x, y) = pairs[e];
-                    msg.set(x as usize, y as usize);
+                    fresh += usize::from(msg.set(x as usize, y as usize));
                 }
+                ones.fetch_add(fresh, Ordering::Relaxed);
             });
         }
         None => {
             pool.parallel_for(n, 64, |range, _| {
+                let mut fresh = 0usize;
                 for p in range {
                     let children = arc.neighbors(p as u32);
                     for &x in children {
                         for &y in children {
                             if x != y {
-                                msg.set(x as usize, y as usize);
+                                fresh += usize::from(msg.set(x as usize, y as usize));
                             }
                         }
                     }
                 }
+                ones.fetch_add(fresh, Ordering::Relaxed);
             });
         }
     }
-    (arc, msg)
+    (arc, msg, ones.into_inner())
 }
 
-/// Expand one δ pair, pushing newly set pairs onto `out`.
+/// Expand one δ pair, pushing newly set pairs onto `out`; returns how many
+/// were pushed.
 #[inline]
-fn expand(arc: &AdjIndex, msg: &BitMatrix, a: u32, b: u32, out: &mut Vec<(u32, u32)>) {
+fn expand(arc: &AdjIndex, msg: &BitMatrix, a: u32, b: u32, out: &mut Vec<(u32, u32)>) -> usize {
+    let before = out.len();
     for &q in arc.neighbors(a) {
         for &p in arc.neighbors(b) {
             if msg.set(q as usize, p as usize) {
@@ -69,6 +78,7 @@ fn expand(arc: &AdjIndex, msg: &BitMatrix, a: u32, b: u32, out: &mut Vec<(u32, u
             }
         }
     }
+    out.len() - before
 }
 
 /// Same-generation closure, zero-coordination variant (paper Algorithm 3).
@@ -84,24 +94,28 @@ pub fn sg_closure_seeded(
     edges: &[(u32, u32)],
     seeds: Option<&[(u32, u32)]>,
 ) -> BitMatrix {
-    let (arc, msg) = seed(pool, n, edges, seeds);
+    let (arc, mut msg, seeded) = seed(pool, n, edges, seeds);
+    let ones = AtomicUsize::new(seeded);
     pool.run(|ctx| {
         // Initial δ: the seeded bits of this thread's row partition
         // (round-robin, line 10).
         let mut stack: Vec<(u32, u32)> = Vec::new();
         let mut row = ctx.worker;
         while row < n {
-            for col in msg.row_ones(row) {
+            for col in msg.slot_ones(row) {
                 stack.push((row as u32, col as u32));
             }
             row += ctx.threads;
         }
         // Work generated lands on the generating thread, wherever its row
         // partition is — the skew the coordinated variant fixes.
+        let mut fresh = 0usize;
         while let Some((a, b)) = stack.pop() {
-            expand(&arc, &msg, a, b, &mut stack);
+            fresh += expand(&arc, &msg, a, b, &mut stack);
         }
+        ones.fetch_add(fresh, Ordering::Relaxed);
     });
+    msg.set_ones(ones.into_inner());
     msg
 }
 
@@ -140,7 +154,8 @@ pub fn sg_closure_coordinated_seeded(
     seeds: Option<&[(u32, u32)]>,
 ) -> (BitMatrix, CoordStats) {
     let threshold = threshold.max(1);
-    let (arc, msg) = seed(pool, n, edges, seeds);
+    let (arc, mut msg, seeded) = seed(pool, n, edges, seeds);
+    let ones = AtomicUsize::new(seeded);
     let global: Mutex<Vec<Vec<(u32, u32)>>> = Mutex::new(Vec::new());
     let idle = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
@@ -150,16 +165,17 @@ pub fn sg_closure_coordinated_seeded(
 
     pool.run(|ctx| {
         let mut local: Vec<(u32, u32)> = Vec::new();
+        let mut fresh = 0usize;
         let mut row = ctx.worker;
         while row < n {
-            for col in msg.row_ones(row) {
+            for col in msg.slot_ones(row) {
                 local.push((row as u32, col as u32));
             }
             row += ctx.threads;
         }
-        loop {
+        'work: loop {
             if let Some((a, b)) = local.pop() {
-                expand(&arc, &msg, a, b, &mut local);
+                fresh += expand(&arc, &msg, a, b, &mut local);
                 // Aggregate overflow into a work order (paper: "the δ is
                 // aggregated and packed as a work order").
                 if local.len() > threshold {
@@ -174,7 +190,7 @@ pub fn sg_closure_coordinated_seeded(
             idle.fetch_add(1, Ordering::SeqCst);
             loop {
                 if done.load(Ordering::SeqCst) {
-                    return;
+                    break 'work;
                 }
                 let mut pool_guard = global.lock();
                 if let Some(order) = pool_guard.pop() {
@@ -190,13 +206,15 @@ pub fn sg_closure_coordinated_seeded(
                     // Pool empty and everyone idle (checked under the pool
                     // lock): nothing can be produced any more.
                     done.store(true, Ordering::SeqCst);
-                    return;
+                    break 'work;
                 }
                 drop(pool_guard);
                 std::thread::yield_now();
             }
         }
+        ones.fetch_add(fresh, Ordering::Relaxed);
     });
+    msg.set_ones(ones.into_inner());
     (
         msg,
         CoordStats {
@@ -256,7 +274,9 @@ mod tests {
     }
 
     fn as_set(m: &BitMatrix) -> HashSet<(u32, u32)> {
-        m.to_pairs().into_iter().collect()
+        let set: HashSet<(u32, u32)> = m.to_pairs().into_iter().collect();
+        assert_eq!(m.ones(), set.len(), "kernel-counted ones");
+        set
     }
 
     #[test]
@@ -293,9 +313,9 @@ mod tests {
     fn empty_graph() {
         let pool = ThreadPool::new(2);
         let msg = sg_closure(&pool, 5, &[]);
-        assert_eq!(msg.count_ones(), 0);
+        assert_eq!(msg.ones(), 0);
         let (msg, stats) = sg_closure_coordinated(&pool, 5, &[], 4);
-        assert_eq!(msg.count_ones(), 0);
+        assert_eq!(msg.ones(), 0);
         assert_eq!(stats.orders_posted, 0);
     }
 

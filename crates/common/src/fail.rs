@@ -15,8 +15,9 @@
 //! Action grammar: `[N*]return_io_err | panic | abort | short_write | off`.
 //! An `N*` prefix skips the first `N` hits, then fires on every hit after
 //! — "crash at the 3rd commit" is `2*abort`. Failpoints are process-global;
-//! tests that arm them must serialize with each other and [`teardown`]
-//! when done.
+//! tests that arm them, or pass through an armable point, must serialize
+//! with each other. A [`FailGuard`] disarms its point when it drops, even
+//! on panic; [`teardown`] disarms everything.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -128,6 +129,30 @@ pub fn remove(name: &str) {
     let mut map = registry().write();
     map.remove(name);
     ENABLED.store(!map.is_empty(), Ordering::Relaxed);
+}
+
+/// A failpoint armed for the guard's lifetime: [`FailGuard::new`] arms it
+/// and dropping the guard disarms it, also when a panic unwinds through
+/// the scope that holds it.
+#[must_use = "the failpoint is disarmed as soon as the guard drops"]
+pub struct FailGuard {
+    name: String,
+}
+
+impl FailGuard {
+    /// Arm `name` with `action` (see the module docs for the grammar).
+    pub fn new(name: &str, action: &str) -> std::result::Result<Self, String> {
+        cfg(name, action)?;
+        Ok(FailGuard {
+            name: name.to_string(),
+        })
+    }
+}
+
+impl Drop for FailGuard {
+    fn drop(&mut self) {
+        remove(&self.name);
+    }
 }
 
 /// Disarm every failpoint (test teardown).
@@ -244,6 +269,27 @@ mod tests {
         assert!(cfg("x", "explode").is_err());
         assert!(cfg("x", "y*panic").is_err());
         assert!(cfg_all("no-equals-sign").is_err());
+        teardown();
+    }
+
+    #[test]
+    fn guard_disarms_on_drop_and_on_panic() {
+        let _g = LOCK.lock();
+        teardown();
+        {
+            let _armed = FailGuard::new("test::site", "return_io_err").unwrap();
+            assert!(guarded_site().is_err());
+        }
+        assert_eq!(guarded_site().unwrap(), 7, "dropped guard disarms");
+        let unwound = std::panic::catch_unwind(|| {
+            let _armed = FailGuard::new("test::site", "return_io_err").unwrap();
+            assert!(guarded_site().is_err());
+            panic!("test body fails while the point is armed");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(guarded_site().unwrap(), 7, "unwinding disarms too");
+        assert!(!enabled());
+        assert!(FailGuard::new("test::site", "explode").is_err());
         teardown();
     }
 

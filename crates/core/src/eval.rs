@@ -726,8 +726,18 @@ impl EvalRun<'_, '_> {
             m
         };
         let n = (max_id + 1).max(1) as usize;
+        // Rows the matrix stores: TC fills only the rows of its seed
+        // sources (column 1 when evaluated on the transposed graph), SG
+        // any row.
+        let rows = match plan {
+            PbmePlan::Tc { mirrored, .. } => {
+                let sources = idb_rel.col(usize::from(*mirrored));
+                recstep_bitmatrix::seed_rows(n, sources.iter().map(|&v| v as u32)).len()
+            }
+            PbmePlan::Sg { .. } => n,
+        };
         if self.cfg.pbme == PbmeMode::Auto
-            && !fits_budget(n, edge_rel.len(), self.cfg.mem_budget_bytes)
+            && !fits_budget(rows, n, edge_rel.len(), self.cfg.mem_budget_bytes)
         {
             return Ok(false);
         }
@@ -778,20 +788,23 @@ impl EvalRun<'_, '_> {
                 (m, false)
             }
         };
-        stats.pbme_matrix_bytes = stats.pbme_matrix_bytes.max(matrix.heap_bytes());
+        stats.pbme_matrix_bytes = stats.pbme_matrix_bytes.max(matrix.bit_bytes());
         stats.coord_orders_posted += coord_posted;
-        // Materialize the closure back into the stored relation.
+        // Materialize the closure back into the stored relation: one pass
+        // over the stored rows, sized by the kernel's count of set bits.
         let rel = self.catalog.rel_mut(idb_id);
         rel.clear();
-        let ones = matrix.count_ones();
+        let ones = matrix.ones();
         let mut cols = vec![Vec::with_capacity(ones), Vec::with_capacity(ones)];
-        for i in 0..matrix.n() {
-            for j in matrix.row_ones(i) {
-                let (a, b) = if transpose_out { (j, i) } else { (i, j) };
-                cols[0].push(a as Value);
-                cols[1].push(b as Value);
+        let (row_col, bit_col) = if transpose_out { (1, 0) } else { (0, 1) };
+        for slot in 0..matrix.rows() {
+            let i = matrix.row_id(slot) as Value;
+            for j in matrix.slot_ones(slot) {
+                cols[row_col].push(i);
+                cols[bit_col].push(j as Value);
             }
         }
+        debug_assert_eq!(cols[0].len(), ones);
         rel.append_columns(cols);
         if let Some(disk) = self.disk.as_deref_mut() {
             let t_io = Instant::now();
@@ -808,7 +821,7 @@ impl EvalRun<'_, '_> {
         });
         stats.peak_bytes = stats
             .peak_bytes
-            .max(self.catalog.heap_bytes() + stats.pbme_matrix_bytes);
+            .max(self.catalog.heap_bytes() + matrix.heap_bytes());
         Ok(true)
     }
 

@@ -7,7 +7,9 @@
 //! the matrix plus index fits the memory budget — the paper's rule: "We
 //! decide to build the bit-matrix data structure only if the memory
 //! available can fit both the bit matrix, as well as any additional index
-//! data structures used during evaluation."
+//! data structures used during evaluation." The matrix is sized by the rows
+//! it stores: one per distinct seed source for TC (no other row can get a
+//! bit), all `n` for SG (δ writes into arbitrary rows).
 
 use recstep_common::lang::Expr;
 use recstep_datalog::{AtomVersion, CompiledStratum};
@@ -131,10 +133,10 @@ pub fn detect(stratum: &CompiledStratum) -> Option<PbmePlan> {
     }
 }
 
-/// The paper's memory-fit condition: matrix bytes plus index bytes within
-/// the budget.
-pub fn fits_budget(n: usize, edge_count: usize, budget_bytes: usize) -> bool {
-    let matrix = recstep_bitmatrix::BitMatrix::bytes_for(n);
+/// The paper's memory-fit condition: the bytes of a `rows × n` matrix
+/// (bit rows plus row map) plus index bytes within the budget.
+pub fn fits_budget(rows: usize, n: usize, edge_count: usize, budget_bytes: usize) -> bool {
+    let matrix = recstep_bitmatrix::BitMatrix::bytes_for(rows, n);
     let index = (n + 1) * 4 + edge_count * 4; // CSR adjacency
     matrix.saturating_add(index) <= budget_bytes
 }
@@ -210,8 +212,12 @@ mod tests {
 
     #[test]
     fn budget_check() {
-        // 1000 vertices → 125 KB matrix.
-        assert!(fits_budget(1000, 10_000, 1 << 20));
-        assert!(!fits_budget(100_000, 10_000, 1 << 20)); // 1.25 GB matrix
+        // 1000 vertices → 125 KB square matrix.
+        assert!(fits_budget(1000, 1000, 10_000, 1 << 20));
+        assert!(!fits_budget(100_000, 100_000, 10_000, 1 << 20)); // 1.25 GB matrix
+                                                                  // 400 stored rows over 40k vertices: 2 MB, where the square
+                                                                  // matrix would take 200 MB.
+        assert!(fits_budget(400, 40_000, 40_000, 16 << 20));
+        assert!(!fits_budget(40_000, 40_000, 40_000, 16 << 20));
     }
 }

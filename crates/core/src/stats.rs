@@ -200,7 +200,9 @@ pub struct EvalStats {
     pub io_flushes: u64,
     /// Worker busy-time over the run (for CPU-utilization reporting).
     pub busy: Duration,
-    /// Bit-matrix bytes allocated, when PBME ran.
+    /// Bytes of the bit rows of the largest PBME matrix, when PBME ran:
+    /// stored rows × `⌈n/64⌉` words × 8 (the small row map is counted in
+    /// `peak_bytes` only).
     pub pbme_matrix_bytes: usize,
     /// Work orders posted by coordinated SG-PBME.
     pub coord_orders_posted: u64,

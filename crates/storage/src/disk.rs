@@ -237,6 +237,7 @@ mod tests {
 
     #[test]
     fn per_query_writes_through_incrementally() {
+        let _fp = crate::failpoint_lock();
         let mut dm = DiskManager::new(CommitMode::PerQuery).unwrap();
         let mut r = rel(3);
         dm.note_dirty(&r).unwrap();
@@ -256,6 +257,7 @@ mod tests {
 
     #[test]
     fn eost_pends_until_commit_all() {
+        let _fp = crate::failpoint_lock();
         let mut dm = DiskManager::new(CommitMode::Eost).unwrap();
         let r = rel(4);
         dm.note_dirty(&r).unwrap();
@@ -270,6 +272,7 @@ mod tests {
 
     #[test]
     fn unchanged_table_is_not_rewritten() {
+        let _fp = crate::failpoint_lock();
         let mut dm = DiskManager::new(CommitMode::PerQuery).unwrap();
         let r = rel(2);
         dm.note_dirty(&r).unwrap();
@@ -280,6 +283,7 @@ mod tests {
 
     #[test]
     fn flush_temp_counts_bytes_in_per_query_mode_only() {
+        let _fp = crate::failpoint_lock();
         let r = rel(3);
         let mut per_query = DiskManager::new(CommitMode::PerQuery).unwrap();
         per_query.flush_temp("t_delta", r.view()).unwrap();
@@ -297,6 +301,7 @@ mod tests {
     #[test]
     fn aborted_commit_leaves_previous_file_intact() {
         use recstep_common::fail;
+        let _fp = crate::failpoint_lock();
         let mut dm = DiskManager::new(CommitMode::Eost).unwrap();
         let mut r = rel(3);
         dm.note_dirty(&r).unwrap();
@@ -308,9 +313,10 @@ mod tests {
         // previously committed bytes.
         r.push_row(&[100, 200]);
         dm.note_dirty(&r).unwrap();
-        fail::cfg("disk::before_rename", "return_io_err").unwrap();
-        assert!(dm.commit_all(|name| (name == "t").then_some(&r)).is_err());
-        fail::remove("disk::before_rename");
+        {
+            let _armed = fail::FailGuard::new("disk::before_rename", "return_io_err").unwrap();
+            assert!(dm.commit_all(|name| (name == "t").then_some(&r)).is_err());
+        }
         assert_eq!(
             std::fs::read(dm.table_path("t")).unwrap(),
             committed,
@@ -326,6 +332,7 @@ mod tests {
 
     #[test]
     fn temp_dir_cleaned_on_drop() {
+        let _fp = crate::failpoint_lock();
         let path;
         {
             let mut dm = DiskManager::new(CommitMode::PerQuery).unwrap();

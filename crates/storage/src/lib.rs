@@ -32,6 +32,17 @@ pub mod relation;
 pub mod stats;
 pub mod wal;
 
+/// Failpoints are process-global. Every test of this crate that arms a
+/// `disk::*`, `wal::*` or `snapshot::*` point, or runs through one, holds
+/// this lock, so no test hits a point another test armed. A failing test
+/// poisons it; the lock guards no data, so the next test takes it anyway.
+#[cfg(test)]
+pub(crate) fn failpoint_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use catalog::{Catalog, RelId};
 pub use disk::{CommitMode, DiskManager};
 pub use handle::{RelHandle, RowDecode, RowIter, RowRef};

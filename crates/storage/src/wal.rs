@@ -681,6 +681,7 @@ mod tests {
 
     #[test]
     fn append_then_recover_roundtrips() {
+        let _fp = crate::failpoint_lock();
         let dir = tmpdir();
         let (mut wal, recs, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         assert!(recs.is_empty());
@@ -702,6 +703,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_survivors_kept() {
+        let _fp = crate::failpoint_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         wal.append(&commit(1, 10)).unwrap();
@@ -729,6 +731,7 @@ mod tests {
 
     #[test]
     fn corrupt_record_truncates_it_and_everything_after() {
+        let _fp = crate::failpoint_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         wal.append(&commit(1, 10)).unwrap();
@@ -751,12 +754,14 @@ mod tests {
 
     #[test]
     fn short_write_poisons_and_restart_recovers_the_prefix() {
+        let _fp = crate::failpoint_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         wal.append(&commit(1, 10)).unwrap();
-        fail::cfg("wal::short_write", "return_io_err").unwrap();
-        assert!(wal.append(&commit(2, 20)).is_err());
-        fail::remove("wal::short_write");
+        {
+            let _armed = fail::FailGuard::new("wal::short_write", "return_io_err").unwrap();
+            assert!(wal.append(&commit(2, 20)).is_err());
+        }
         // The in-process handle is poisoned: no further appends.
         let err = wal.append(&commit(3, 30)).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");
@@ -771,12 +776,14 @@ mod tests {
 
     #[test]
     fn failed_append_leaves_no_partial_record() {
+        let _fp = crate::failpoint_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         wal.append(&commit(1, 10)).unwrap();
-        fail::cfg("wal::after_append", "return_io_err").unwrap();
-        assert!(wal.append(&commit(2, 20)).is_err());
-        fail::remove("wal::after_append");
+        {
+            let _armed = fail::FailGuard::new("wal::after_append", "return_io_err").unwrap();
+            assert!(wal.append(&commit(2, 20)).is_err());
+        }
         // The fully-written-but-unacked record was repaired away; the log
         // keeps accepting appends.
         wal.append(&commit(3, 30)).unwrap();
@@ -792,6 +799,7 @@ mod tests {
 
     #[test]
     fn reset_compacts_to_a_barrier() {
+        let _fp = crate::failpoint_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Batch).unwrap();
         for i in 1..=5 {
@@ -809,6 +817,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_and_detects_corruption() {
         use crate::relation::Schema;
+        let _fp = crate::failpoint_lock();
         let dir = tmpdir();
         let mut edge = Relation::new(Schema::with_arity("edge", 2));
         edge.push_row(&[1, 2]);
@@ -838,6 +847,7 @@ mod tests {
     #[test]
     fn aborted_snapshot_preserves_the_previous_snapshot() {
         use crate::relation::Schema;
+        let _fp = crate::failpoint_lock();
         let dir = tmpdir();
         let mut edge = Relation::new(Schema::with_arity("edge", 2));
         edge.push_row(&[1, 2]);
@@ -850,9 +860,10 @@ mod tests {
             "snapshot::before_manifest_rename",
         ] {
             edge.push_row(&[2, 3]);
-            fail::cfg(fp, "return_io_err").unwrap();
-            assert!(write_snapshot(&dir, 2, [&edge]).is_err(), "{fp}");
-            fail::remove(fp);
+            {
+                let _armed = fail::FailGuard::new(fp, "return_io_err").unwrap();
+                assert!(write_snapshot(&dir, 2, [&edge]).is_err(), "{fp}");
+            }
             let s = read_snapshot(&dir).unwrap().expect("old snapshot intact");
             assert_eq!(s.version, 1, "{fp}: manifest rename is the commit point");
             assert_eq!(s.tables[0].rows, vec![1, 2], "{fp}: old rows intact");

@@ -164,19 +164,30 @@ proptest! {
     }
 
     #[test]
-    fn bitmatrix_tc_agrees_with_warshall(edges in edges_strategy(20, 60)) {
+    fn bitmatrix_tc_agrees_with_warshall(
+        edges in edges_strategy(20, 60),
+        picks in proptest::collection::vec(0..60usize, 0..8),
+        high in 0..2u32,
+    ) {
+        // With `high` set every vertex moves up by 110 (n = 130): the rows
+        // sit at high ids and vertices 0..110 have no edges.
+        let offset = 110 * high;
+        let n = (20 + offset) as usize;
         let pool = recstep_common::sched::ThreadPool::new(3);
-        let e32: Vec<(u32, u32)> = edges.iter().map(|&(a, b)| (a as u32, b as u32)).collect();
-        let m = recstep_bitmatrix::tc_closure(&pool, 20, &e32);
+        let e32: Vec<(u32, u32)> = edges
+            .iter()
+            .map(|&(a, b)| (a as u32 + offset, b as u32 + offset))
+            .collect();
+        let m = recstep_bitmatrix::tc_closure(&pool, n, &e32);
         // Warshall oracle.
-        let mut reach = vec![[false; 20]; 20];
+        let mut reach = vec![vec![false; n]; n];
         for &(s, t) in &e32 {
             reach[s as usize][t as usize] = true;
         }
-        for k in 0..20 {
-            for i in 0..20 {
+        for k in 0..n {
+            for i in 0..n {
                 if reach[i][k] {
-                    for j in 0..20 {
+                    for j in 0..n {
                         if reach[k][j] {
                             reach[i][j] = true;
                         }
@@ -184,10 +195,36 @@ proptest! {
                 }
             }
         }
-        for i in 0..20 {
-            for j in 0..20 {
+        for i in 0..n {
+            for j in 0..n {
                 prop_assert_eq!(m.get(i, j), reach[i][j], "({}, {})", i, j);
             }
         }
+        prop_assert_eq!(m.ones(), reach.iter().flatten().filter(|&&b| b).count());
+
+        // Seeded closure over the row-compacted matrix: seeds are a few
+        // edges (their sources a subset of the edge sources) plus a
+        // self-loop on the first picked source.
+        let mut seeds: Vec<(u32, u32)> = Vec::new();
+        if !e32.is_empty() {
+            seeds.extend(picks.iter().map(|&p| e32[p % e32.len()]));
+        }
+        if let Some(&(s, _)) = seeds.first() {
+            seeds.push((s, s));
+        }
+        let ms = recstep_bitmatrix::tc_closure_seeded(&pool, n, &seeds, &e32);
+        let sources: BTreeSet<u32> = seeds.iter().map(|&(s, _)| s).collect();
+        prop_assert_eq!(ms.rows(), sources.len());
+        let mut ones = 0usize;
+        for i in 0..n {
+            for j in 0..n {
+                let expect = seeds
+                    .iter()
+                    .any(|&(x, z)| x as usize == i && (z as usize == j || reach[z as usize][j]));
+                ones += usize::from(expect);
+                prop_assert_eq!(ms.get(i, j), expect, "seeded ({}, {})", i, j);
+            }
+        }
+        prop_assert_eq!(ms.ones(), ones);
     }
 }
