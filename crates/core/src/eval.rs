@@ -1872,9 +1872,10 @@ fn each_row(cols: &[Vec<Value>], mut f: impl FnMut(&[Value])) {
 ///   rule runs once per changed scan position through the fused
 ///   [`DeltaSink`], then the fixpoint re-enters with ∆ = the fresh rows
 ///   only ([`StratumEntry::Seeded`]);
-/// * **DRed** when a recursive cluster sees deletions — over-delete
-///   everything with a derivation through a deleted tuple, retract,
-///   re-derive by a monotone fixpoint from the survivors.
+/// * **recompute** when a recursive cluster sees deletions — recompute
+///   the recursive cluster from scratch through the same fixpoint a run
+///   uses ([`StratumEntry::Scratch`]), then diff old against new contents
+///   for the net change.
 impl EvalRun<'_, '_> {
     /// Evaluate one subquery as a maintenance pass: overridden positions
     /// read the given views, everything else the catalog's full
@@ -2015,7 +2016,7 @@ impl EvalRun<'_, '_> {
                     continue;
                 }
                 if any_minus {
-                    self.refresh_cluster_dred(
+                    self.refresh_cluster_recompute(
                         &members,
                         stratum,
                         deltas,
@@ -2072,21 +2073,18 @@ impl EvalRun<'_, '_> {
         Ok(stats)
     }
 
-    /// Stream maintenance derivations for one cluster IDB through a
+    /// Stream ∆-seeding derivations for one cluster IDB through a
     /// [`DeltaSink`] against its carried full-R index and append the
-    /// winners. With `positions`, each member rule runs once per changed
-    /// scan position — that position pinned to the new tuples, everything
-    /// else at current full views (an over-approximation the sink
-    /// dedups). Without, every rule of the *non-recursive* member strata
-    /// re-runs once in full (DRed re-derivation; the recursive rules
-    /// re-run in the fixpoint that follows).
-    #[allow(clippy::too_many_arguments)]
+    /// winners: each member rule runs once per scan position that reads
+    /// an input in `plus_cols` — that position pinned to the new tuples,
+    /// everything else at current full views (an over-approximation the
+    /// sink dedups).
     fn seed_idb(
         &mut self,
         members: &[&CompiledStratum],
         rel_name: &str,
         arity: usize,
-        positions: Option<&FxHashMap<String, Vec<Vec<Value>>>>,
+        plus_cols: &FxHashMap<String, Vec<Vec<Value>>>,
         index_carry: &mut FxHashMap<RelId, PersistentIndex>,
         stats: &mut EvalStats,
     ) -> Result<usize> {
@@ -2125,33 +2123,23 @@ impl EvalRun<'_, '_> {
         let evaluated = {
             let base = self.catalog.rel(rel_id).view();
             let sink = DeltaSink::new(&full_index, base, 1024);
+            let mode = SinkMode::Delta(&sink);
             let mut fresh: Vec<Vec<Value>> = vec![Vec::new(); arity];
             let mut err = None;
             'eval: for stratum in members {
-                if positions.is_none() && stratum.recursive {
-                    continue;
-                }
                 for idb in stratum.idbs.iter().filter(|i| i.rel == rel_name) {
                     let mut seen_rules = FxHashSet::default();
                     for sq in &idb.subqueries {
                         if !seen_rules.insert(sq.rule_idx) {
                             continue;
                         }
-                        let mut calls: Vec<ScanOverrides<'_>> = Vec::new();
-                        match positions {
-                            Some(plus_cols) => {
-                                for (p, scan) in sq.scans.iter().enumerate() {
-                                    if let Some(cols) = plus_cols.get(&scan.rel) {
-                                        let mut ovr = ScanOverrides::default();
-                                        ovr.insert(p, RelView::over(cols));
-                                        calls.push(ovr);
-                                    }
-                                }
-                            }
-                            None => calls.push(ScanOverrides::default()),
-                        }
-                        for ovr in &calls {
-                            match self.eval_maintenance(stratum, sq, ovr, &SinkMode::Delta(&sink)) {
+                        for (p, scan) in sq.scans.iter().enumerate() {
+                            let Some(cols) = plus_cols.get(&scan.rel) else {
+                                continue;
+                            };
+                            let mut ovr = ScanOverrides::default();
+                            ovr.insert(p, RelView::over(cols));
+                            match self.eval_maintenance(stratum, sq, &ovr, &mode) {
                                 Ok(cols) => {
                                     for (dst, mut src) in fresh.iter_mut().zip(cols) {
                                         if dst.is_empty() {
@@ -2263,14 +2251,8 @@ impl EvalRun<'_, '_> {
             starts.insert(id, self.catalog.rel(id).len());
         }
         for idb in &rec.idbs {
-            let seeded = self.seed_idb(
-                members,
-                &idb.rel,
-                idb.arity,
-                Some(&plus_cols),
-                index_carry,
-                stats,
-            )?;
+            let seeded =
+                self.seed_idb(members, &idb.rel, idb.arity, &plus_cols, index_carry, stats)?;
             stats.view.view_tuples_seeded += seeded as u64;
         }
         self.run_stratum(
@@ -2295,13 +2277,12 @@ impl EvalRun<'_, '_> {
         Ok(())
     }
 
-    /// DRed maintenance of a recursive cluster that saw deletions:
-    /// over-delete everything with a derivation through a deleted tuple
-    /// (worklist to transitive closure), retract, then re-derive by a
-    /// monotone fixpoint from the survivors over the post-commit base —
-    /// which also absorbs any same-commit inserts.
-    #[allow(clippy::too_many_arguments)]
-    fn refresh_cluster_dred(
+    /// Maintenance of a recursive cluster that saw deletions: recompute
+    /// it from scratch — clear its IDBs and run every member stratum
+    /// through the ordinary fixpoint over the maintained lower strata
+    /// (which also absorbs any same-commit inserts) — then diff the old
+    /// contents against the new for the net deltas downstream strata read.
+    fn refresh_cluster_recompute(
         &mut self,
         members: &[&CompiledStratum],
         rec: &CompiledStratum,
@@ -2310,172 +2291,38 @@ impl EvalRun<'_, '_> {
         jcache: &mut JoinCache<'_>,
         stats: &mut EvalStats,
     ) -> Result<()> {
-        let cluster_idbs: FxHashSet<&str> = rec.idbs.iter().map(|i| i.rel.as_str()).collect();
-        // Membership and tombstones per cluster IDB (pre-delete values).
-        let mut alive: FxHashMap<String, FxHashSet<Vec<Value>>> = FxHashMap::default();
-        let mut dead: FxHashMap<String, FxHashSet<Vec<Value>>> = FxHashMap::default();
+        let mut old: Vec<(RelId, FxHashSet<Vec<Value>>)> = Vec::with_capacity(rec.idbs.len());
         for idb in &rec.idbs {
-            let id = self
+            let rel_id = self
                 .catalog
                 .lookup(&idb.rel)
                 .ok_or_else(|| Error::exec(format!("unknown relation '{}'", idb.rel)))?;
-            alive.insert(
-                idb.rel.clone(),
-                self.catalog.rel(id).to_rows().into_iter().collect(),
-            );
-            dead.insert(idb.rel.clone(), FxHashSet::default());
+            old.push((
+                rel_id,
+                self.catalog.rel(rel_id).to_rows().into_iter().collect(),
+            ));
+            self.catalog.reset_for_run(rel_id);
+            index_carry.remove(&rel_id);
+            jcache.invalidate(rel_id);
         }
-        // Pre-commit (OLD) columns for changed non-cluster inputs; the
-        // unchanged ones read the catalog as-is — duplicate stored rows
-        // cost nothing here, hits are membership-filtered, not counted.
-        let mut old_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
         for stratum in members {
-            for idb in &stratum.idbs {
-                for sq in &idb.subqueries {
-                    for scan in &sq.scans {
-                        let rel = scan.rel.as_str();
-                        if cluster_idbs.contains(rel)
-                            || old_cols.contains_key(rel)
-                            || !deltas.changed(rel)
-                        {
-                            continue;
-                        }
-                        let id = self
-                            .catalog
-                            .lookup(rel)
-                            .ok_or_else(|| Error::exec(format!("unknown relation '{rel}'")))?;
-                        let mut set: FxHashSet<Vec<Value>> =
-                            self.catalog.rel(id).to_rows().into_iter().collect();
-                        if let Some(rows) = deltas.plus.get(rel) {
-                            for row in rows {
-                                set.remove(row);
-                            }
-                        }
-                        if let Some(rows) = deltas.minus.get(rel) {
-                            for row in rows {
-                                set.insert(row.clone());
-                            }
-                        }
-                        old_cols.insert(rel.to_string(), cols_from_iter(scan.arity, set.iter()));
-                    }
-                }
-            }
+            self.run_stratum(stratum, index_carry, jcache, stats, StratumEntry::Scratch)?;
         }
-        // Worklist seed: the deleted tuples of every changed input.
-        let mut pending: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-        for stratum in members {
-            for idb in &stratum.idbs {
-                for sq in &idb.subqueries {
-                    for scan in &sq.scans {
-                        if cluster_idbs.contains(scan.rel.as_str())
-                            || pending.contains_key(&scan.rel)
-                        {
-                            continue;
-                        }
-                        if let Some(rows) = deltas.minus.get(&scan.rel) {
-                            if !rows.is_empty() {
-                                pending.insert(scan.rel.clone(), rows.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        while !pending.is_empty() {
-            let mut pend_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-            for (name, rows) in &pending {
-                pend_cols.insert(name.clone(), cols_from_rows(rows[0].len(), rows));
-            }
-            let mut next: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-            for stratum in members {
-                for idb in &stratum.idbs {
-                    let mut seen_rules = FxHashSet::default();
-                    for sq in &idb.subqueries {
-                        if !seen_rules.insert(sq.rule_idx) {
-                            continue;
-                        }
-                        for (p, scan) in sq.scans.iter().enumerate() {
-                            let Some(batch) = pend_cols.get(&scan.rel) else {
-                                continue;
-                            };
-                            let mut ovr = ScanOverrides::default();
-                            ovr.insert(p, RelView::over(batch));
-                            for (q, qscan) in sq.scans.iter().enumerate() {
-                                if q == p {
-                                    continue;
-                                }
-                                if let Some(cols) = old_cols.get(&qscan.rel) {
-                                    ovr.insert(q, RelView::over(cols));
-                                }
-                            }
-                            let out =
-                                self.eval_maintenance(stratum, sq, &ovr, &SinkMode::Materialize)?;
-                            if out.first().map_or(0, Vec::len) == 0 {
-                                continue;
-                            }
-                            let alive_set = alive.get(&idb.rel).expect("cluster idb");
-                            let dead_set = dead.get_mut(&idb.rel).expect("cluster idb");
-                            each_row(&out, |row| {
-                                if alive_set.contains(row) && !dead_set.contains(row) {
-                                    dead_set.insert(row.to_vec());
-                                    next.entry(idb.rel.clone()).or_default().push(row.to_vec());
-                                }
-                            });
-                        }
-                    }
-                }
-            }
-            pending = next;
-        }
-        // Physical retraction, then re-derivation.
-        let mut starts: FxHashMap<RelId, usize> = FxHashMap::default();
-        for idb in &rec.idbs {
-            let rel_id = self.catalog.lookup(&idb.rel).expect("cluster idb exists");
-            let dead_set = dead.get(&idb.rel).expect("cluster idb");
-            if !dead_set.is_empty() {
-                let rows: Vec<Vec<Value>> = dead_set.iter().cloned().collect();
-                self.catalog.rel_mut(rel_id).delete_rows(&rows);
-                jcache.invalidate(rel_id);
-            }
-            stats.view.view_tuples_retracted += dead_set.len() as u64;
-            starts.insert(rel_id, self.catalog.rel(rel_id).len());
-        }
-        for idb in &rec.idbs {
-            self.seed_idb(members, &idb.rel, idb.arity, None, index_carry, stats)?;
-        }
-        self.run_stratum(rec, index_carry, jcache, stats, StratumEntry::Scratch)?;
         stats.view.view_dred_strata += 1;
-        // Net downstream changes: a physically deleted tuple that was
-        // re-derived is no change at all.
-        for idb in &rec.idbs {
-            let rel_id = self.catalog.lookup(&idb.rel).expect("cluster idb exists");
-            let start = starts[&rel_id];
+        for (rel_id, mut gone) in old {
             let rel = self.catalog.rel(rel_id);
-            let dead_set = dead.remove(&idb.rel).unwrap_or_default();
-            let mut added: Vec<Vec<Value>> = Vec::with_capacity(rel.len() - start);
-            for r in start..rel.len() {
-                added.push((0..rel.arity()).map(|c| rel.col(c)[r]).collect());
-            }
-            let added_set: FxHashSet<&Vec<Value>> = added.iter().collect();
-            let minus: Vec<Vec<Value>> = dead_set
-                .iter()
-                .filter(|r| !added_set.contains(*r))
-                .cloned()
-                .collect();
-            drop(added_set);
-            let plus: Vec<Vec<Value>> = added
+            let plus: Vec<Vec<Value>> = rel
+                .to_rows()
                 .into_iter()
-                .filter(|r| !dead_set.contains(r))
+                .filter(|row| !gone.remove(row))
                 .collect();
-            if !minus.is_empty() {
-                deltas
-                    .minus
-                    .entry(idb.rel.clone())
-                    .or_default()
-                    .extend(minus);
+            stats.view.view_tuples_retracted += gone.len() as u64;
+            let name = &rel.schema().name;
+            if !gone.is_empty() {
+                deltas.minus.entry(name.clone()).or_default().extend(gone);
             }
             if !plus.is_empty() {
-                deltas.plus.entry(idb.rel.clone()).or_default().extend(plus);
+                deltas.plus.entry(name.clone()).or_default().extend(plus);
             }
         }
         Ok(())

@@ -95,8 +95,8 @@ pub struct StratumStats {
 /// Incremental view maintenance accounting: how a standing materialized
 /// view absorbed `/facts` commits — ∆-seeded semi-naive re-entries for
 /// insertions, support-count (counting) updates for non-recursive strata,
-/// DRed over-delete + rederive for recursive strata under deletions, and
-/// full scratch recomputes when the program shape (aggregation, negation,
+/// a from-scratch recompute of each recursive cluster under deletions,
+/// and full scratch recomputes when the program shape (aggregation, negation,
 /// inline facts) or a failed refresh forces the fallback.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ViewStats {
@@ -106,14 +106,16 @@ pub struct ViewStats {
     pub view_seeded_strata: u64,
     /// Non-recursive strata maintained by support counting.
     pub view_counting_strata: u64,
-    /// Recursive strata maintained by DRed over-delete + rederivation.
+    /// Recursive clusters recomputed after a deletion. Named after the
+    /// `/stats` key that benchmark readers parse.
     pub view_dred_strata: u64,
     /// Refreshes answered by a full from-scratch recompute instead
     /// (ineligible program shape, ineligible commit, or a failed refresh).
     pub view_fallbacks: u64,
-    /// Fresh tuples appended by seeding and rederivation passes.
+    /// Fresh tuples appended by ∆-seeding and counting maintenance.
     pub view_tuples_seeded: u64,
-    /// Tuples retracted by counting and DRed maintenance.
+    /// Net tuples retracted: rows of the previous contents that are
+    /// missing from the refreshed ones, summed over derived relations.
     pub view_tuples_retracted: u64,
 }
 

@@ -15,9 +15,11 @@
 //!   maintenance: a [`SupportTable`] side table holds exact
 //!   per-derived-tuple support counts, and a tuple retracts exactly when
 //!   its last derivation disappears;
-//! * **deletions** reaching recursive strata fall back to DRed:
-//!   over-delete everything with a derivation through a deleted tuple,
-//!   then re-derive what the surviving database still supports.
+//! * **deletions** reaching a recursive cluster recompute the recursive
+//!   cluster from scratch: its IDBs are cleared and its strata re-run
+//!   through the same semi-naive fixpoint a scratch run uses, over the
+//!   already-maintained lower strata; diffing old against new contents
+//!   yields the net change that downstream strata consume.
 //!
 //! Views are owned by the query service (`recstep-serve`), which keeps a
 //! registry keyed by normalized program text next to its prepared-program
@@ -468,12 +470,12 @@ mod tests {
     }
 
     #[test]
-    fn tc_view_absorbs_deletes_via_dred() {
+    fn tc_view_absorbs_deletes_by_recompute() {
         let engine = Engine::builder().threads(2).build().unwrap();
         let prog = Arc::new(engine.prepare(TC).unwrap());
         let mut db = Database::new().unwrap();
         // A diamond plus a tail: deleting one diamond edge keeps paths
-        // alive through the other side (the classic DRed rederive case).
+        // alive through the other side.
         db.load_edges("arc", &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
             .unwrap();
         let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
@@ -481,6 +483,8 @@ mod tests {
         view.refresh(&db, &ins, &del).unwrap();
         assert!(view.view_stats().view_dred_strata >= 1);
         assert!(view.view_stats().view_tuples_retracted >= 1);
+        // Net retraction: exactly (1,3) and (1,4) leave the closure.
+        assert_eq!(view.view_stats().view_tuples_retracted, 2);
         assert_matches_scratch(&view, &db, &["tc"]);
         // 0→3 and 0→4 must survive through the 0→2→3 side.
         let rows = rows_sorted(&view.output(), "tc");
@@ -524,7 +528,7 @@ mod tests {
     fn nonrecursive_program_uses_counting() {
         let engine = Engine::builder().threads(1).build().unwrap();
         // Two-hop join: purely non-recursive, so deletes go through the
-        // support-count path rather than DRed.
+        // support-count path rather than a recursive recompute.
         let prog = Arc::new(
             engine
                 .prepare("hop2(x, y) :- arc(x, z), arc(z, y).")

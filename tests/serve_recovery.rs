@@ -185,9 +185,10 @@ fn failed_wal_append_is_not_applied_and_not_acked() {
     // A short write is the cruelest failure: bytes partially hit the
     // disk, the handle is poisoned, the commit must not be acknowledged
     // or applied.
-    fail::cfg("wal::short_write", "short_write").unwrap();
-    let (status, body) = insert_arc(addr, 4, 5);
-    fail::remove("wal::short_write");
+    let (status, body) = {
+        let _armed = fail::FailGuard::new("wal::short_write", "short_write").unwrap();
+        insert_arc(addr, 4, 5)
+    };
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("commit not logged"), "{body}");
 
@@ -419,9 +420,10 @@ fn panicking_fixpoint_is_one_500_not_a_dead_worker() {
     .unwrap();
     let addr = server.addr();
 
-    fail::cfg("eval::fixpoint", "panic").unwrap();
-    let (status, body) = post(addr, "/query", &format!("{{\"program\":\"{TC}\"}}")).unwrap();
-    fail::remove("eval::fixpoint");
+    let (status, body) = {
+        let _armed = fail::FailGuard::new("eval::fixpoint", "panic").unwrap();
+        post(addr, "/query", &format!("{{\"program\":\"{TC}\"}}")).unwrap()
+    };
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("panicked"), "{body}");
 
@@ -529,19 +531,19 @@ proptest! {
         let mut acked: Vec<i64> = Vec::new();
         for (i, site) in sites.iter().enumerate() {
             let mark = i as i64 + 1;
-            match site {
-                1 => fail::cfg("wal::before_append", "return_io_err").unwrap(),
-                2 => fail::cfg("wal::after_append", "return_io_err").unwrap(),
-                3 => fail::cfg("wal::short_write", "short_write").unwrap(),
-                _ => {}
-            }
+            let armed = match site {
+                1 => Some(fail::FailGuard::new("wal::before_append", "return_io_err").unwrap()),
+                2 => Some(fail::FailGuard::new("wal::after_append", "return_io_err").unwrap()),
+                3 => Some(fail::FailGuard::new("wal::short_write", "short_write").unwrap()),
+                _ => None,
+            };
             let (status, _) = post(
                 addr,
                 "/facts",
                 &format!("{{\"insert\":{{\"a\":[[{mark}]],\"b\":[[{mark}]]}}}}"),
             )
             .unwrap();
-            fail::teardown();
+            drop(armed);
             if status == 200 {
                 acked.push(mark);
             }

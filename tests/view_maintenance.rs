@@ -47,7 +47,7 @@ const TC: &str = "tc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).";
 /// The differential program pool: one entry per maintenance shape.
 /// `(source, base relations, derived relations)`.
 const PROGRAMS: [(&str, &[&str], &[&str]); 5] = [
-    // Linear recursion: seeded inserts, DRed deletes.
+    // Linear recursion: seeded inserts, recomputed deletes.
     (TC, &["arc"], &["tc"]),
     // Non-linear recursion: both body atoms read the IDB.
     (
@@ -179,11 +179,31 @@ proptest! {
                     .filter(|(is_ins, ..)| !*is_ins)
                     .map(|&(_, pick, a, b)| (pick, vec![a, b])),
             );
+            let before = view.output();
             apply_commit(&mut db, &inserts, &deletes);
             view.refresh(&db, &inserts, &deletes).unwrap();
 
             let scratch = prog.run_shared(&db).unwrap();
             let out = view.output();
+            // The retraction counter reports the net change: rows of the
+            // previous output missing from the new one.
+            let retracted: usize = idbs
+                .iter()
+                .map(|rel| {
+                    let now: BTreeSet<Vec<Value>> = rows_sorted(&out, rel).into_iter().collect();
+                    rows_sorted(&before, rel)
+                        .iter()
+                        .filter(|row| !now.contains(*row))
+                        .count()
+                })
+                .sum();
+            prop_assert_eq!(
+                view.stats().view.view_tuples_retracted,
+                retracted as u64,
+                "program {} retraction count after {:?}",
+                prog_idx,
+                step
+            );
             for rel in idbs {
                 prop_assert_eq!(
                     rows_sorted(&out, rel),
@@ -212,9 +232,10 @@ fn panicking_refresh_poisons_the_view_and_rebuilds() {
 
     let inserts = vec![("arc".to_string(), vec![vec![3, 4]])];
     apply_commit(&mut db, &inserts, &[]);
-    fail::cfg("view::refresh", "panic").unwrap();
-    let panicked = catch_unwind(AssertUnwindSafe(|| view.refresh(&db, &inserts, &[])));
-    fail::teardown();
+    let panicked = {
+        let _armed = fail::FailGuard::new("view::refresh", "panic").unwrap();
+        catch_unwind(AssertUnwindSafe(|| view.refresh(&db, &inserts, &[])))
+    };
     assert!(panicked.is_err(), "the armed failpoint must panic");
 
     // The panic marked the view: even a no-op refresh rebuilds from
@@ -241,9 +262,10 @@ fn erroring_refresh_poisons_the_view_and_rebuilds() {
 
     let inserts = vec![("arc".to_string(), vec![vec![3, 4]])];
     apply_commit(&mut db, &inserts, &[]);
-    fail::cfg("view::refresh", "return_io_err").unwrap();
-    let res = view.refresh(&db, &inserts, &[]);
-    fail::teardown();
+    let res = {
+        let _armed = fail::FailGuard::new("view::refresh", "return_io_err").unwrap();
+        view.refresh(&db, &inserts, &[])
+    };
     assert!(res.is_err(), "the armed failpoint must fail the refresh");
 
     view.refresh(&db, &[], &[]).unwrap();
@@ -293,9 +315,10 @@ fn serve_panicking_refresh_never_serves_a_half_maintained_view() {
     // The commit's view refresh panics: the commit itself still succeeds
     // (durability and the base write happened first) and the broken view
     // is dropped, never served.
-    fail::cfg("view::refresh", "panic").unwrap();
-    let (status, body) = post(addr, "/facts", "{\"insert\":{\"arc\":[[3,4]]}}").unwrap();
-    fail::teardown();
+    let (status, body) = {
+        let _armed = fail::FailGuard::new("view::refresh", "panic").unwrap();
+        post(addr, "/facts", "{\"insert\":{\"arc\":[[3,4]]}}").unwrap()
+    };
     assert_eq!(status, 200, "{body}");
     let (_, stats) = get(addr, "/stats").unwrap();
     assert!(counter(&stats, "panics") >= 1, "{stats}");
