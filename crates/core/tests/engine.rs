@@ -784,3 +784,136 @@ fn symbolic_loading_roundtrips_through_dictionary() {
     assert_eq!(dict.resolve(paris), Some("paris"));
     assert_eq!(dict.len(), 4);
 }
+
+/// The accounting each evaluation arm reports, pinned exactly: the
+/// streaming delta sink (default for plain heads), the group-at-source
+/// aggregate sink (default for aggregated heads), and the materializing
+/// `Rt` pipeline every ablation falls back to. A refactor of the step
+/// driver must keep every arm's counters, not just its result rows.
+#[test]
+fn per_arm_counters_are_pinned() {
+    // (name, source, relations whose rows are compared)
+    let programs: [(&str, &str, &[&str]); 4] = [
+        ("tc", recstep::programs::TC, &["tc"]),
+        ("cc", recstep::programs::CC, &["cc3", "cc2", "cc"]),
+        ("sum", "s(x, SUM(y)) :- e(x, y).", &["s"]),
+        (
+            "two-rules",
+            "u(x, y) :- arc(x, y).\nu(x, y) :- arc(y, x).",
+            &["u"],
+        ),
+    ];
+    let base = || Config::default().threads(1).pbme(PbmeMode::Off);
+    let configs: [(&str, Config); 9] = [
+        ("default", base()),
+        ("no-fused-pipeline", base().fused_pipeline(false)),
+        ("no-fused-agg", base().fused_agg(false)),
+        ("no-index-reuse", base().index_reuse(false)),
+        ("no-uie", base().uie(false)),
+        ("no-eost", base().eost(false)),
+        ("oof-na", base().oof(OofMode::None)),
+        ("oof-fa", base().oof(OofMode::Full)),
+        ("no-op", Config::no_op().threads(1)),
+    ];
+    // Columns: iterations, queries_issued, fused_runs, pipeline_runs,
+    // agg_sink_runs, tuples_considered, rt_rows_skipped_at_source,
+    // rt_merge_bytes, agg_rows_folded_at_source, agg_groups_improved,
+    // index.full_builds, index.full_appends, index.scratch_builds.
+    #[rustfmt::skip]
+    let expected: [[[usize; 13]; 9]; 4] = [
+        // tc
+        [
+            [   7,   14,    7,    7,    0,  478,  280,    0,    0,    0,    1,    6,    7], // default
+            [   7,   15,    6,    0,    0,  478,    0, 7648,    0,    0,    1,    5,    7], // no-fused-pipeline
+            [   7,   14,    7,    7,    0,  478,  280,    0,    0,    0,    1,    6,    7], // no-fused-agg
+            [   7,   21,    0,    0,    0,  478,    0, 7648,    0,    0,    8,    0,    7], // no-index-reuse
+            [   7,   22,    6,    0,    0,  478,    0, 7648,    0,    0,    1,    5,    7], // no-uie
+            [   7,   15,    6,    0,    0,  478,    0, 7648,    0,    0,    1,    5,    7], // no-eost
+            [   7,   14,    7,    7,    0,  478,  280,    0,    0,    0,    1,    6,    7], // oof-na
+            [   7,   14,    7,    7,    0,  478,  280,    0,    0,    0,    1,    6,    7], // oof-fa
+            [   7,   28,    0,    0,    0,  478,    0, 7648,    0,    0,    6,    0,    7], // no-op
+        ],
+        // cc
+        [
+            [   7,   14,    1,    1,    6,  159,   14,    0,  143,   52,    1,    1,    1], // default
+            [   7,   15,    0,    0,    6,  159,    0,  128,  143,   52,    0,    0,    1], // no-fused-pipeline
+            [   7,   14,    1,    1,    0,  159,   14, 2288,    0,    0,    1,    1,    1], // no-fused-agg
+            [   7,   15,    0,    0,    6,  159,    0,  128,  143,   52,    0,    0,    1], // no-index-reuse
+            [   7,   22,    0,    0,    0,  159,    0, 2416,    0,    0,    0,    0,    1], // no-uie
+            [   7,   15,    0,    0,    0,  159,    0, 2416,    0,    0,    0,    0,    1], // no-eost
+            [   7,   14,    1,    1,    6,  159,   14,    0,  143,   52,    1,    1,    1], // oof-na
+            [   7,   14,    1,    1,    6,  159,   14,    0,  143,   52,    1,    1,    1], // oof-fa
+            [   7,   22,    0,    0,    0,  159,    0, 2416,    0,    0,    0,    0,    1], // no-op
+        ],
+        // sum
+        [
+            [   1,    2,    0,    0,    1,   40,    0,    0,   40,   16,    0,    0,    0], // default
+            [   1,    2,    0,    0,    1,   40,    0,    0,   40,   16,    0,    0,    0], // no-fused-pipeline
+            [   1,    2,    0,    0,    0,   40,    0,  640,    0,    0,    0,    0,    0], // no-fused-agg
+            [   1,    2,    0,    0,    1,   40,    0,    0,   40,   16,    0,    0,    0], // no-index-reuse
+            [   1,    3,    0,    0,    0,   40,    0,  640,    0,    0,    0,    0,    0], // no-uie
+            [   1,    2,    0,    0,    0,   40,    0,  640,    0,    0,    0,    0,    0], // no-eost
+            [   1,    2,    0,    0,    1,   40,    0,    0,   40,   16,    0,    0,    0], // oof-na
+            [   1,    2,    0,    0,    1,   40,    0,    0,   40,   16,    0,    0,    0], // oof-fa
+            [   1,    3,    0,    0,    0,   40,    0,  640,    0,    0,    0,    0,    0], // no-op
+        ],
+        // two-rules
+        [
+            [   2,    4,    2,    2,    0,   80,   11,    0,    0,    0,    1,    2,    2], // default
+            [   2,    6,    0,    0,    0,   80,    0, 1280,    0,    0,    1,    0,    2], // no-fused-pipeline
+            [   2,    4,    2,    2,    0,   80,   11,    0,    0,    0,    1,    2,    2], // no-fused-agg
+            [   2,    6,    0,    0,    0,   80,    0, 1280,    0,    0,    1,    0,    2], // no-index-reuse
+            [   2,    8,    0,    0,    0,   80,    0, 1280,    0,    0,    1,    0,    2], // no-uie
+            [   2,    6,    0,    0,    0,   80,    0, 1280,    0,    0,    1,    0,    2], // no-eost
+            [   2,    4,    2,    2,    0,   80,   11,    0,    0,    0,    1,    2,    2], // oof-na
+            [   2,    4,    2,    2,    0,   80,   11,    0,    0,    0,    1,    2,    2], // oof-fa
+            [   2,    8,    0,    0,    0,   80,    0, 1280,    0,    0,    1,    0,    2], // no-op
+        ],
+    ];
+    let edges = random_edges(16, 40, 23);
+    let run = |cfg: Config, src: &str| {
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &edges).unwrap();
+        db.load_edges("e", &edges).unwrap();
+        let stats = Engine::from_config(cfg)
+            .unwrap()
+            .prepare(src)
+            .unwrap()
+            .run(&mut db)
+            .unwrap();
+        (db, stats)
+    };
+    let rows = |db: &Database, rels: &[&str]| -> Vec<BTreeSet<Vec<Value>>> {
+        rels.iter()
+            .map(|r| db.relation(r).unwrap().to_vec().into_iter().collect())
+            .collect()
+    };
+    for (p, (prog, src, rels)) in programs.iter().enumerate() {
+        let (ref_db, _) = run(base(), src);
+        let reference = rows(&ref_db, rels);
+        assert!(
+            reference.iter().all(|r| !r.is_empty()),
+            "{prog}: empty result"
+        );
+        for (c, (name, cfg)) in configs.iter().enumerate() {
+            let (db, s) = run(cfg.clone(), src);
+            assert_eq!(rows(&db, rels), reference, "{prog} under {name}: rows");
+            let got = [
+                s.iterations,
+                s.queries_issued,
+                s.fused_runs,
+                s.pipeline_runs,
+                s.agg_sink_runs,
+                s.tuples_considered,
+                s.rt_rows_skipped_at_source,
+                s.rt_merge_bytes,
+                s.agg_rows_folded_at_source,
+                s.agg_groups_improved,
+                s.index.full_builds,
+                s.index.full_appends,
+                s.index.scratch_builds,
+            ];
+            assert_eq!(got, expected[p][c], "{prog} under {name}: counters");
+        }
+    }
+}
