@@ -27,13 +27,21 @@
 //!       R  ← R ⊎ ∆R               // one shard append; ∆R is a row range
 //! ```
 //!
-//! The materializing path stays alive behind `--no-fused-pipeline`, for
-//! ablations and for configurations that genuinely need a materialized
-//! `Rt` (OOF-FA statistics, per-query temp spills, aggregation, IIE).
+//! Each IDB runs one of three *arms*, chosen once per stratum
+//! ([`Arm`]); every arm is the same produce → reduce → commit step:
 //!
-//! Two further engine-level specializations: recursive aggregates replace
-//! dedup + set difference by a monotonic absorb (∆ = strictly improved
-//! groups), and TC/SG-shaped strata can be handed to PBME (§5.3).
+//! * **Delta** (plain heads, default) — the delta sink above; reduce only
+//!   appends the sink's compact-key escapes.
+//! * **Agg** (aggregated heads, default) — rows fold into concurrent
+//!   aggregate state at the probe site; reduce is the flush: a recursive
+//!   MIN/MAX head's strictly improved groups, or a group-by head's rows.
+//! * **Materialize** (the `--no-*` ablations) — Algorithm 1 as written:
+//!   `Rt` is buffered, then aggregated, absorbed into the full-R index,
+//!   or deduplicated and subtracted from `R`.
+//!
+//! OOF-FA statistics run on every arm: the sink arms sample the would-be
+//! `Rt` as it streams by. TC/SG-shaped strata can bypass the tuple loop
+//! entirely through PBME (§5.3).
 //!
 //! The loop is deliberately free of engine-object state: one [`EvalRun`]
 //! borrows the engine's immutable configuration and execution context
@@ -49,7 +57,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use recstep_common::hash::{FxHashMap, FxHashSet};
-use recstep_common::lang::Expr;
+use recstep_common::lang::{AggFunc, Expr};
 use recstep_common::sched::CancelToken;
 use recstep_common::{Error, Result, Value};
 use recstep_datalog::plan::{
@@ -135,9 +143,55 @@ pub(crate) enum StratumEntry {
     Seeded(FxHashMap<RelId, usize>),
 }
 
+/// How one IDB's ∆R is produced: chosen once per stratum, when its
+/// [`IdbState`] is initialized, from the configuration and the head.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    /// Plain heads, by default: every produced row probes the persistent
+    /// full-R index and races into a shared scratch table ([`DeltaSink`]),
+    /// so `uieval` yields ∆R directly and `Rt` never materializes.
+    Delta,
+    /// Aggregated heads, by default: every produced row folds into
+    /// concurrent aggregate state at the probe site ([`AggSink`]); the
+    /// flush is ∆R.
+    Agg,
+    /// The ablations: Algorithm 1 as written — materialize `Rt`, then
+    /// aggregate it, absorb it into the full-R index, or dedup it and
+    /// subtract `R`.
+    Materialize,
+}
+
+impl Arm {
+    fn choose(cfg: &Config, aggregated: bool) -> Arm {
+        if aggregated {
+            // Per-subquery temporaries (no UIE) and per-query commits (no
+            // EOST) would re-materialize the stream the sink folds away.
+            if cfg.fused_agg && cfg.uie && cfg.eost {
+                Arm::Agg
+            } else {
+                Arm::Materialize
+            }
+        } else if delta_arm_applies(cfg) {
+            Arm::Delta
+        } else {
+            Arm::Materialize
+        }
+    }
+}
+
+/// Whether plain heads run the [`Arm::Delta`] sink: it needs a full-R
+/// index to probe (`index_reuse`), one unified query per IDB (UIE), and
+/// no per-query temp spills (EOST). Incremental views re-enter exactly
+/// this path.
+pub(crate) fn delta_arm_applies(cfg: &Config) -> bool {
+    cfg.fused_pipeline && cfg.index_reuse && cfg.uie && cfg.eost
+}
+
 /// Per-IDB mutable state across the iterations of one stratum.
 struct IdbState {
     rel_id: RelId,
+    /// How this IDB's ∆R is produced, for the whole stratum.
+    arm: Arm,
     /// ∆R of the previous iteration (head-order layout).
     delta: DeltaBuf,
     /// Row count of R through iteration `t-1` (the Old prefix).
@@ -149,9 +203,9 @@ struct IdbState {
     /// Frozen build-side choices per (subquery, join) for OOF-NA.
     frozen: Vec<Vec<Option<bool>>>,
     /// Persistent full-R membership index (whole-tuple keys): built once
-    /// for the stratum, appended after every merge, and probed by the
-    /// fused dedup + set-difference pass. `None` until the first
-    /// iteration, or always under `index_reuse = false`.
+    /// for the stratum, synced at every commit, and probed by the delta
+    /// sink or the materializing absorb pass. `None` until the first
+    /// iteration that needs it, or always under `index_reuse = false`.
     full_index: Option<PersistentIndex>,
     /// Pre-sizing hint for the next streaming pass's scratch table
     /// (roughly the last iteration's `|∆R|`).
@@ -437,12 +491,13 @@ enum AggKind {
     Plain {
         group_positions: Vec<usize>,
         agg_positions: Vec<usize>,
-        funcs: Vec<recstep_common::lang::AggFunc>,
+        funcs: Vec<AggFunc>,
     },
 }
 
-/// The monotonic-aggregate map backing a recursive aggregated IDB: which
-/// variant a run uses is decided once by the `fused_agg` gate.
+/// The monotonic-aggregate map backing a recursive aggregated IDB: the
+/// [`Arm::Agg`] arm uses the concurrent map, [`Arm::Materialize`] the
+/// sequential one.
 enum MonoEval {
     /// Sequential map fed by a per-iteration group-by over a materialized
     /// pre-aggregation `Rt` (the `--no-fused-agg` ablation path).
@@ -849,6 +904,7 @@ impl EvalRun<'_, '_> {
                 StratumEntry::Seeded(starts) => starts.get(&rel_id).copied().unwrap_or(rel.len()),
             };
             let delta = DeltaBuf::Range(start, rel.len());
+            let arm = Arm::choose(self.cfg, idb.agg.is_some());
             let agg = match &idb.agg {
                 None => None,
                 Some(shape) if stratum.recursive => {
@@ -862,7 +918,7 @@ impl EvalRun<'_, '_> {
                     }
                     // Seed from facts already in R (earlier strata).
                     let mut group = Vec::with_capacity(shape.group_positions.len());
-                    let mono = if self.fused_agg_applies() {
+                    let mono = if arm == Arm::Agg {
                         let mut conc = ConcurrentMonoMap::new(
                             shape.funcs[0],
                             shape.group_positions.len(),
@@ -910,6 +966,7 @@ impl EvalRun<'_, '_> {
             let scratch_hint = self.catalog.rel(rel_id).len().max(1024);
             states.push(IdbState {
                 rel_id,
+                arm,
                 delta,
                 old_len: start,
                 dsd: DsdState::new(self.alpha),
@@ -1007,14 +1064,13 @@ impl EvalRun<'_, '_> {
         // Monotonic aggregated IDBs: rebuild stored relation from the map.
         for (i, idb) in stratum.idbs.iter().enumerate() {
             let state = &states[i];
-            if let Some(AggKind::Mono(mono_state)) = &state.agg {
-                let g = mono_state.group_positions.len();
-                let flat = mono_state.mono.to_columns(g);
-                let mut cols = vec![Vec::new(); idb.arity];
-                for (gi, &pos) in mono_state.group_positions.iter().enumerate() {
-                    cols[pos] = flat[gi].clone();
-                }
-                cols[mono_state.agg_position] = flat[g].clone();
+            if let Some(AggKind::Mono(ms)) = &state.agg {
+                let cols = head_columns(
+                    idb.arity,
+                    &ms.group_positions,
+                    std::slice::from_ref(&ms.agg_position),
+                    ms.mono.to_columns(ms.group_positions.len()),
+                );
                 let rel = self.catalog.rel_mut(state.rel_id);
                 rel.clear();
                 rel.append_columns(cols);
@@ -1048,387 +1104,32 @@ impl EvalRun<'_, '_> {
         Ok(())
     }
 
-    /// Whether the fused streaming pipeline evaluates this IDB: the paths
-    /// excluded here genuinely need a materialized `Rt` (per-query commit
-    /// mode spills it, IIE stages per-subquery temporaries) or have no
-    /// full-R index to probe (`index_reuse` off). OOF-FA is *not*
-    /// excluded: a [`SinkSampler`] attached to the delta sink mirrors
-    /// every offered row, and the statistics pass reads the reservoir in
-    /// place of an `Rt` re-scan — same as the aggregated path.
-    /// Non-recursive strata stream too — their single pass dedups across
-    /// rules at source the same way. Aggregated heads stream through
-    /// their own group-at-source sink instead (see
-    /// [`Self::fused_agg_applies`]).
-    fn fused_applies(&self, state: &IdbState) -> bool {
-        self.cfg.fused_pipeline
-            && self.cfg.index_reuse
-            && self.cfg.uie
-            && self.cfg.eost
-            && state.agg.is_none()
-    }
-
-    /// Whether group-at-source streaming evaluates aggregated IDBs: every
-    /// produced row is folded into a concurrent aggregate state at the
-    /// probe site, so neither a materialized pre-aggregation `Rt` nor a
-    /// full-R probe index is involved. Requires UIE (per-subquery temp
-    /// staging would re-materialize the stream) and EOST (per-query commit
-    /// mode spills the temporaries the sink no longer produces). OOF-FA is
-    /// *not* excluded: the sink samples the statistics `analyze(Rt)` needs
-    /// (reservoir + exact counts) while rows stream through.
-    fn fused_agg_applies(&self) -> bool {
-        self.cfg.fused_agg && self.cfg.uie && self.cfg.eost
-    }
-
-    /// Run the OOF-FA statistics pass from a sink's reservoir sample
-    /// instead of a materialized `Rt` (no-op without a sampler).
-    fn note_sink_stats(
-        &mut self,
-        sampler: Option<&SinkSampler>,
+    /// Build the IDB's full-R membership index if it has none, or bring
+    /// one carried from an earlier stratum up to `R`'s rows. The caller
+    /// books the time under its own phase.
+    fn sync_full_index<'s>(
+        &self,
+        slot: &'s mut Option<PersistentIndex>,
         rel_id: RelId,
+        arity: usize,
         stats: &mut EvalStats,
-    ) {
-        let Some(s) = sampler else { return };
-        let t_an = Instant::now();
-        let cols = s.columns();
-        let _ = recstep_storage::stats::analyze_view(
-            RelView::over(&cols),
-            recstep_storage::StatsLevel::Full,
-        );
-        self.catalog.analyze_full(rel_id);
-        stats.sink_stat_samples += s.sampled();
-        stats.phase.analyze += t_an.elapsed();
+    ) -> &'s mut PersistentIndex {
+        let rel = self.catalog.rel(rel_id);
+        let action = match slot {
+            Some(index) => index.append(self.ctx, rel.view()),
+            None => SyncAction::Rebuilt,
+        };
+        stats.index.note_full_sync(action, rel.len());
+        slot.get_or_insert_with(|| {
+            PersistentIndex::build(self.ctx, rel.view(), (0..arity).collect())
+        })
     }
 
-    /// One group-at-source streaming step for an aggregated IDB: every
-    /// subquery's final operator folds each produced row into a concurrent
-    /// aggregate state (`AggSink`) at the probe site, so the
-    /// pre-aggregation `Rt` is never buffered, merged, or re-scanned — the
-    /// sink's flush yields ∆R (monotonic heads: the strictly improved
-    /// groups off the dirty list; plain group-by heads: the merged shard
-    /// partials) directly.
-    fn step_idb_agg_fused(
-        &mut self,
-        stratum: &CompiledStratum,
-        idb: &CompiledIdb,
-        idx: usize,
-        states: &mut [IdbState],
-        jcache: &mut JoinCache<'_>,
-        stats: &mut EvalStats,
-    ) -> Result<DeltaBuf> {
-        let sampler =
-            (self.cfg.oof == OofMode::Full).then(|| SinkSampler::new(idb.arity, SINK_SAMPLE_CAP));
-        let rel_id = states[idx].rel_id;
-        let t_pipe = Instant::now();
-        if matches!(states[idx].agg, Some(AggKind::Mono(_))) {
-            // --- Recursive monotonic head: CAS-on-best at the probe site. ---
-            let (out, considered) = {
-                let Some(AggKind::Mono(ms)) = &states[idx].agg else {
-                    unreachable!("checked above")
-                };
-                let MonoEval::Conc(map) = &ms.mono else {
-                    unreachable!("the fused-agg gate constructs the concurrent map")
-                };
-                let sink = AggSink::new(AggTarget::Mono(map), sampler);
-                let out = eval_idb(
-                    self.ctx,
-                    self.cfg,
-                    &self.catalog,
-                    stratum,
-                    idb,
-                    states,
-                    idx,
-                    jcache,
-                    &SinkMode::Agg(&sink),
-                    false,
-                )?;
-                // Close the pipeline timer before the statistics pass so
-                // the analyze interval is booked under `phase.analyze`
-                // only — the per-phase breakdown stays disjoint.
-                stats.phase.pipeline += t_pipe.elapsed();
-                self.note_sink_stats(sink.sampler(), rel_id, stats);
-                (out, sink.considered())
-            };
-            stats.queries_issued += out.queries + 1;
-            stats.wcoj_runs += out.wcoj.runs;
-            stats.wcoj_rows_emitted += out.wcoj.rows;
-            stats.tuples_considered += considered;
-            stats.agg_sink_runs += 1;
-            stats.agg_rows_folded_at_source += considered;
-            if self.cfg.oof == OofMode::None {
-                freeze_choices(&self.catalog, stratum, idb, states, idx);
-            }
-            // --- Flush: the dirty list is ∆R, in head layout. ---
-            let t_agg = Instant::now();
-            let Some(AggKind::Mono(ms)) = &mut states[idx].agg else {
-                unreachable!("checked above")
-            };
-            let MonoEval::Conc(map) = &mut ms.mono else {
-                unreachable!("the fused-agg gate constructs the concurrent map")
-            };
-            let improved = map.take_improved();
-            map.maybe_rehash();
-            let g = ms.group_positions.len();
-            let mut delta = Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
-            let mut out_row = vec![0 as Value; idb.arity];
-            for row in improved.chunks(g + 1) {
-                for (gi, &pos) in ms.group_positions.iter().enumerate() {
-                    out_row[pos] = row[gi];
-                }
-                out_row[ms.agg_position] = row[g];
-                delta.push_row(&out_row);
-            }
-            stats.agg_groups_improved += delta.len();
-            stats.phase.aggregate += t_agg.elapsed();
-            return Ok(DeltaBuf::Owned(delta));
-        }
-
-        // --- Non-recursive group-by head: sharded partials at the sink. ---
-        let Some(AggKind::Plain {
-            group_positions,
-            agg_positions,
-            funcs,
-        }) = &states[idx].agg
-        else {
-            unreachable!("caller dispatches only aggregated IDBs")
-        };
-        let (group_positions, agg_positions) = (group_positions.clone(), agg_positions.clone());
-        let gsink = GroupSink::new(funcs.clone(), group_positions.len());
-        let (out, considered) = {
-            let sink = AggSink::new(AggTarget::Group(&gsink), sampler);
-            let out = eval_idb(
-                self.ctx,
-                self.cfg,
-                &self.catalog,
-                stratum,
-                idb,
-                states,
-                idx,
-                jcache,
-                &SinkMode::Agg(&sink),
-                false,
-            )?;
-            // As above: keep the analyze interval out of `phase.pipeline`.
-            stats.phase.pipeline += t_pipe.elapsed();
-            self.note_sink_stats(sink.sampler(), rel_id, stats);
-            (out, sink.considered())
-        };
-        stats.queries_issued += out.queries + 1;
-        stats.wcoj_runs += out.wcoj.runs;
-        stats.wcoj_rows_emitted += out.wcoj.rows;
-        stats.tuples_considered += considered;
-        stats.agg_sink_runs += 1;
-        stats.agg_rows_folded_at_source += considered;
-        if self.cfg.oof == OofMode::None {
-            freeze_choices(&self.catalog, stratum, idb, states, idx);
-        }
-        // --- Flush: merge the shard partials straight into head layout. ---
-        let t_agg = Instant::now();
-        let g = group_positions.len();
-        let mut grouped = gsink.into_columns();
-        let rows = grouped.first().map_or(0, Vec::len);
-        let mut cols = vec![Vec::new(); idb.arity];
-        for (gi, &pos) in group_positions.iter().enumerate() {
-            cols[pos] = std::mem::take(&mut grouped[gi]);
-        }
-        for (j, &pos) in agg_positions.iter().enumerate() {
-            cols[pos] = std::mem::take(&mut grouped[g + j]);
-        }
-        stats.agg_groups_improved += rows;
-        stats.phase.aggregate += t_agg.elapsed();
-        let state = &mut states[idx];
-        let rel = self.catalog.rel_mut(state.rel_id);
-        state.old_len = rel.len();
-        rel.append_columns(cols);
-        let delta = DeltaBuf::Range(state.old_len, rel.len());
-        if let Some(disk) = self.disk.as_deref_mut() {
-            let rel = self.catalog.rel(state.rel_id);
-            let t_io = Instant::now();
-            disk.note_dirty(rel)?;
-            stats.phase.io += t_io.elapsed();
-        }
-        Ok(delta)
-    }
-
-    /// One fused streaming step: `∆R` comes straight out of rule
-    /// evaluation — each subquery's final operator probes the persistent
-    /// full-R index and the shared scratch table per produced row, so the
-    /// UNION-ALL intermediate is never buffered, merged or re-scanned.
-    #[allow(clippy::too_many_arguments)]
-    fn step_idb_fused(
-        &mut self,
-        stratum: &CompiledStratum,
-        idb: &CompiledIdb,
-        idx: usize,
-        states: &mut [IdbState],
-        jcache: &mut JoinCache<'_>,
-        stats: &mut EvalStats,
-        seeded: bool,
-    ) -> Result<DeltaBuf> {
-        if states[idx].full_index.is_none() {
-            let t_index = Instant::now();
-            let rel = self.catalog.rel(states[idx].rel_id);
-            stats.index.full_builds += 1;
-            stats.index.build_rows += rel.len();
-            states[idx].full_index = Some(PersistentIndex::build(
-                self.ctx,
-                rel.view(),
-                (0..idb.arity).collect(),
-            ));
-            stats.phase.index += t_index.elapsed();
-        }
-        // The sink borrows the index and the base view for the whole
-        // evaluation; take the index out of the state so `states` can be
-        // reborrowed immutably by the subquery evaluator.
-        let mut full_index = states[idx].full_index.take().expect("built above");
-        let rel_id = states[idx].rel_id;
-        // An index carried over from an earlier stratum may trail the
-        // relation (or follow a cleared one): sync it before probing.
-        {
-            let rel = self.catalog.rel(rel_id);
-            if full_index.rows() != rel.len() {
-                let t_index = Instant::now();
-                match full_index.append(self.ctx, rel.view()) {
-                    SyncAction::Appended(n) => {
-                        stats.index.full_appends += 1;
-                        stats.index.append_rows += n;
-                    }
-                    SyncAction::Reused => {}
-                    SyncAction::Rebuilt => {
-                        stats.index.full_builds += 1;
-                        stats.index.build_rows += rel.len();
-                    }
-                }
-                stats.phase.index += t_index.elapsed();
-            }
-        }
-        let hint = states[idx].scratch_hint;
-        // OOF-FA: sample the would-be Rt while it streams through the
-        // sink; the statistics pass below consumes the reservoir.
-        let sampler =
-            (self.cfg.oof == OofMode::Full).then(|| SinkSampler::new(idb.arity, SINK_SAMPLE_CAP));
-        // Index build/sync above is booked under `phase.index` (as on the
-        // materializing path); the pipeline timer covers only the
-        // streaming pass itself.
-        let t_pipe = Instant::now();
-        let evaluated = {
-            let base = self.catalog.rel(rel_id).view();
-            let mut sink = DeltaSink::new(&full_index, base, hint);
-            if let Some(s) = &sampler {
-                sink = sink.with_sampler(s);
-            }
-            eval_idb(
-                self.ctx,
-                self.cfg,
-                &self.catalog,
-                stratum,
-                idb,
-                states,
-                idx,
-                jcache,
-                &SinkMode::Delta(&sink),
-                seeded,
-            )
-            .map(|out| {
-                (
-                    out,
-                    sink.considered(),
-                    sink.take_overflow(),
-                    sink.scratch_bytes(),
-                )
-            })
-        };
-        let (out, considered, overflow, scratch_bytes) = match evaluated {
-            Ok(v) => v,
-            Err(e) => {
-                states[idx].full_index = Some(full_index);
-                return Err(e);
-            }
-        };
-        states[idx].full_index = Some(full_index);
-        let mut fresh = out.cols;
-        let sink_fresh = fresh.first().map_or(0, Vec::len);
-        // Compact-key escapes equal no packed-fitting tuple (a tuple fits
-        // iff each value fits), so they are new w.r.t. R and the sink's
-        // winners — they only need dedup among themselves. The merge below
-        // triggers the index's one-time hashed rebuild via `append`.
-        if !overflow.is_empty() {
-            let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-            for row in &overflow {
-                if seen.insert(row.clone()) {
-                    for (col, &v) in fresh.iter_mut().zip(row) {
-                        col.push(v);
-                    }
-                }
-            }
-        }
-        let fresh_rows = fresh.first().map_or(0, Vec::len);
-        let skipped = considered - sink_fresh - overflow.len();
-        stats.queries_issued += out.queries + 1;
-        stats.wcoj_runs += out.wcoj.runs;
-        stats.wcoj_rows_emitted += out.wcoj.rows;
-        stats.tuples_considered += considered;
-        stats.rt_rows_skipped_at_source += skipped;
-        stats.rt_bytes_never_materialized += skipped * idb.arity * 8;
-        stats.fused_runs += 1;
-        stats.pipeline_runs += 1;
-        stats.index.scratch_builds += 1;
-        stats.phase.pipeline += t_pipe.elapsed();
-        self.note_sink_stats(sampler.as_ref(), rel_id, stats);
-
-        // Record frozen choices on first iteration for OOF-NA.
-        if self.cfg.oof == OofMode::None {
-            freeze_choices(&self.catalog, stratum, idb, states, idx);
-        }
-
-        // --- R ← R ⊎ ∆R: one shard append; ∆R stays a row range. ---
-        let t_merge = Instant::now();
-        let state = &mut states[idx];
-        let rel = self.catalog.rel_mut(state.rel_id);
-        state.old_len = rel.len();
-        rel.append_columns(fresh);
-        let delta = DeltaBuf::Range(state.old_len, rel.len());
-        stats.phase.merge += t_merge.elapsed();
-        // Next iteration's scratch sizing: follow |∆R| up immediately but
-        // decay slowly, so one small delta after a burst does not shrink
-        // the bucket array back under the workload's scale.
-        state.scratch_hint = (fresh_rows * 2).max(state.scratch_hint / 2).max(1024);
-
-        // Maintain the index over the merged rows (incremental).
-        let t_index = Instant::now();
-        let rel = self.catalog.rel(state.rel_id);
-        let index = state.full_index.as_mut().expect("restored above");
-        match index.append(self.ctx, rel.view()) {
-            SyncAction::Appended(n) => {
-                stats.index.full_appends += 1;
-                stats.index.append_rows += n;
-            }
-            SyncAction::Reused => {}
-            SyncAction::Rebuilt => {
-                stats.index.full_builds += 1;
-                stats.index.build_rows += rel.len();
-            }
-        }
-        stats.index.bytes_peak = stats
-            .index
-            .bytes_peak
-            .max(index.heap_bytes() + scratch_bytes);
-        stats.phase.index += t_index.elapsed();
-        stats.peak_bytes = stats
-            .peak_bytes
-            .max(self.catalog.heap_bytes() + index.heap_bytes() + scratch_bytes);
-
-        // EOST is a precondition of the fused gate, so temporaries never
-        // reach disk here; just note the relation dirty for the commit.
-        if let Some(disk) = self.disk.as_deref_mut() {
-            let rel = self.catalog.rel(state.rel_id);
-            disk.note_dirty(rel)?;
-        }
-        Ok(delta)
-    }
-
-    /// One Algorithm 1 step (lines 8–13) for one IDB. Returns the freshly
-    /// computed ∆R (staged by the caller so peers keep reading the previous
-    /// iteration's delta until the pass completes).
+    /// One Algorithm 1 step (lines 8–13) for one IDB, run as the same
+    /// three stages on every arm: **produce** `uieval(rules(R, s))`
+    /// through the arm's sink, **reduce** the output to ∆R, **commit** ∆R
+    /// into `R`. Returns ∆R, staged by the caller so peers keep reading
+    /// the previous iteration's delta until the pass completes.
     #[allow(clippy::too_many_arguments)]
     fn step_idb(
         &mut self,
@@ -1440,104 +1141,165 @@ impl EvalRun<'_, '_> {
         stats: &mut EvalStats,
         seeded: bool,
     ) -> Result<DeltaBuf> {
-        if self.fused_applies(&states[idx]) {
-            return self.step_idb_fused(stratum, idb, idx, states, jcache, stats, seeded);
-        }
-        if states[idx].agg.is_some() && self.fused_agg_applies() {
-            return self.step_idb_agg_fused(stratum, idb, idx, states, jcache, stats);
+        let (arm, rel_id) = (states[idx].arm, states[idx].rel_id);
+        if arm == Arm::Delta {
+            let t_index = Instant::now();
+            self.sync_full_index(&mut states[idx].full_index, rel_id, idb.arity, stats);
+            stats.phase.index += t_index.elapsed();
         }
 
-        // --- Rt ← uieval(rules(R, s)) ---
-        let t_eval = Instant::now();
-        let out = eval_idb(
-            self.ctx,
-            self.cfg,
-            &self.catalog,
-            stratum,
-            idb,
-            states,
-            idx,
-            jcache,
-            &SinkMode::Materialize,
-            seeded,
-        )?;
-        let (candidates, queries) = (out.cols, out.queries);
-        stats.phase.eval += t_eval.elapsed();
-        stats.queries_issued += queries;
+        // --- Produce: Rt ← uieval(rules(R, s)), through the arm's sink. ---
+        // OOF-FA on a sink arm samples the would-be Rt as it streams by.
+        let sampler = (self.cfg.oof == OofMode::Full && arm != Arm::Materialize)
+            .then(|| SinkSampler::new(idb.arity, SINK_SAMPLE_CAP));
+        let groups = match (&states[idx].agg, arm) {
+            (
+                Some(AggKind::Plain {
+                    group_positions,
+                    funcs,
+                    ..
+                }),
+                Arm::Agg,
+            ) => Some(GroupSink::new(funcs.clone(), group_positions.len())),
+            _ => None,
+        };
+        let t_produce = Instant::now();
+        let (out, considered, overflow, scratch_bytes) = {
+            let states: &[IdbState] = states;
+            let state = &states[idx];
+            let (delta_sink, agg_sink);
+            let mode = match arm {
+                Arm::Delta => {
+                    let index = state.full_index.as_ref().expect("synced above");
+                    let base = self.catalog.rel(rel_id).view();
+                    let mut sink = DeltaSink::new(index, base, state.scratch_hint);
+                    if let Some(s) = &sampler {
+                        sink = sink.with_sampler(s);
+                    }
+                    delta_sink = sink;
+                    SinkMode::Delta(&delta_sink)
+                }
+                Arm::Agg => {
+                    let target = match (&state.agg, &groups) {
+                        (Some(AggKind::Mono(ms)), _) => match &ms.mono {
+                            MonoEval::Conc(map) => AggTarget::Mono(map),
+                            MonoEval::Seq(_) => {
+                                unreachable!("the Agg arm builds the concurrent map")
+                            }
+                        },
+                        (_, Some(g)) => AggTarget::Group(g),
+                        _ => unreachable!("the Agg arm runs aggregated heads only"),
+                    };
+                    let mut sink = AggSink::new(target);
+                    if let Some(s) = &sampler {
+                        sink = sink.with_sampler(s);
+                    }
+                    agg_sink = sink;
+                    SinkMode::Agg(&agg_sink)
+                }
+                Arm::Materialize => SinkMode::Materialize,
+            };
+            let out = eval_idb(
+                self.ctx,
+                self.cfg,
+                &self.catalog,
+                stratum,
+                idb,
+                states,
+                idx,
+                jcache,
+                &mode,
+                seeded,
+            )?;
+            match mode {
+                SinkMode::Delta(s) => (out, s.considered(), s.take_overflow(), s.scratch_bytes()),
+                SinkMode::Agg(s) => (out, s.considered(), Vec::new(), 0),
+                SinkMode::Materialize => {
+                    let produced = out.cols.first().map_or(0, Vec::len);
+                    (out, produced, Vec::new(), 0)
+                }
+            }
+        };
+        // Closed before the statistics pass, so that interval is booked
+        // under `phase.analyze` only.
+        let produce_time = t_produce.elapsed();
+        if arm == Arm::Materialize {
+            stats.phase.eval += produce_time;
+        } else {
+            stats.phase.pipeline += produce_time;
+        }
+        stats.queries_issued += out.queries;
         stats.wcoj_runs += out.wcoj.runs;
         stats.wcoj_rows_emitted += out.wcoj.rows;
-        let produced = candidates.first().map_or(0, Vec::len);
-        stats.tuples_considered += produced;
-        // The whole UNION-ALL intermediate was buffered and merged — the
-        // cost the streaming pipeline eliminates.
-        stats.rt_merge_bytes += produced * idb.arity * 8;
-
+        stats.tuples_considered += considered;
         // Record frozen choices on first iteration for OOF-NA.
         if self.cfg.oof == OofMode::None {
             freeze_choices(&self.catalog, stratum, idb, states, idx);
         }
-
-        // Non-UIE: the per-subquery temporaries were already flushed inside
-        // eval; the unified Rt temp is flushed here in per-query mode.
-        spill_temp(
-            self.cfg,
-            &mut self.disk,
-            &idb.rt_name,
-            RelView::over(&candidates),
-            stats,
-        )?;
-
-        // OOF-FA: full statistics on every updated table, every iteration.
+        if arm == Arm::Materialize {
+            // Non-UIE: the per-subquery temporaries were already flushed
+            // inside eval; the unified Rt temp is flushed here in
+            // per-query mode.
+            spill_temp(
+                self.cfg,
+                &mut self.disk,
+                &idb.rt_name,
+                RelView::over(&out.cols),
+                stats,
+            )?;
+        }
+        // OOF-FA: full statistics on every updated table, every iteration
+        // — over the sink's reservoir, or the materialized Rt.
         if self.cfg.oof == OofMode::Full {
             let t_an = Instant::now();
+            let sample = sampler.as_ref().map(|s| {
+                stats.sink_stat_samples += s.sampled();
+                s.columns()
+            });
             let _ = recstep_storage::stats::analyze_view(
-                RelView::over(&candidates),
+                RelView::over(sample.as_deref().unwrap_or(&out.cols)),
                 recstep_storage::StatsLevel::Full,
             );
-            let id = states[idx].rel_id;
-            self.catalog.analyze_full(id);
+            self.catalog.analyze_full(rel_id);
             stats.phase.analyze += t_an.elapsed();
         }
 
-        let state = &mut states[idx];
-        match &mut state.agg {
-            Some(AggKind::Mono(mono_state)) => {
-                // --- Recursive aggregation path: group, then absorb. ---
-                let MonoEval::Seq(mono) = &mut mono_state.mono else {
-                    unreachable!("the fused-agg gate constructs the sequential map")
-                };
-                let t_agg = Instant::now();
-                let g = mono_state.group_positions.len();
-                let group_exprs: Vec<Expr> = (0..g).map(Expr::Col).collect();
-                let aggs = vec![AggCol {
-                    func: mono.func(),
-                    expr: Expr::Col(g),
-                }];
-                let grouped = recstep_exec::agg::group_aggregate(
-                    self.ctx,
-                    RelView::over(&candidates),
-                    &group_exprs,
-                    &aggs,
-                );
-                let mut delta =
-                    Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
-                let rows = grouped.first().map_or(0, Vec::len);
-                let mut group = Vec::with_capacity(g);
-                let mut out_row = vec![0 as Value; idb.arity];
-                #[allow(clippy::needless_range_loop)]
-                for r in 0..rows {
-                    group.clear();
-                    group.extend((0..g).map(|c| grouped[c][r]));
-                    let v = grouped[g][r];
-                    if mono.absorb(&group, v) {
-                        for (gi, &pos) in mono_state.group_positions.iter().enumerate() {
-                            out_row[pos] = group[gi];
-                        }
-                        out_row[mono_state.agg_position] = v;
-                        delta.push_row(&out_row);
-                    }
-                }
-                stats.phase.aggregate += t_agg.elapsed();
+        // --- Reduce: the arm's output → ∆R. ---
+        let reduced = match arm {
+            Arm::Delta => {
+                // Compact-key escapes join the sink's winners; the
+                // commit's index sync then performs the index's one-time
+                // hashed rebuild.
+                let t_reduce = Instant::now();
+                let mut fresh = out.cols;
+                let sink_fresh = fresh.first().map_or(0, Vec::len);
+                append_overflow(&mut fresh, &overflow);
+                let skipped = considered - sink_fresh - overflow.len();
+                stats.rt_rows_skipped_at_source += skipped;
+                stats.rt_bytes_never_materialized += skipped * idb.arity * 8;
+                stats.fused_runs += 1;
+                stats.pipeline_runs += 1;
+                stats.index.scratch_builds += 1;
+                stats.queries_issued += 1;
+                stats.phase.pipeline += t_reduce.elapsed();
+                Reduced::Rows(fresh)
+            }
+            Arm::Agg => {
+                stats.agg_sink_runs += 1;
+                stats.agg_rows_folded_at_source += considered;
+                stats.queries_issued += 1;
+                flush_agg(idb, &mut states[idx], groups, stats)
+            }
+            Arm::Materialize => {
+                // The whole UNION-ALL intermediate was buffered and merged
+                // — the cost the sink arms eliminate.
+                stats.rt_merge_bytes += considered * idb.arity * 8;
+                self.reduce_rt(stratum.recursive, idb, &mut states[idx], out.cols, stats)?
+            }
+        };
+        let fresh = match reduced {
+            Reduced::Rows(fresh) => fresh,
+            Reduced::Owned(delta) => {
                 spill_temp(
                     self.cfg,
                     &mut self.disk,
@@ -1545,8 +1307,73 @@ impl EvalRun<'_, '_> {
                     delta.view(),
                     stats,
                 )?;
-                stats.queries_issued += 1;
                 return Ok(DeltaBuf::Owned(delta));
+            }
+        };
+
+        // --- Commit: R ← R ⊎ ∆R; ∆R stays a row range. ---
+        let fresh_rows = fresh.first().map_or(0, Vec::len);
+        let state = &mut states[idx];
+        state.old_len = self.catalog.rel(rel_id).len();
+        let delta = self.commit(
+            rel_id,
+            state.full_index.as_mut(),
+            &idb.delta_name,
+            fresh,
+            scratch_bytes,
+            stats,
+        )?;
+        if arm == Arm::Delta {
+            // Next iteration's scratch sizing: follow |∆R| up immediately
+            // but decay slowly, so one small delta after a burst does not
+            // shrink the bucket array back under the workload's scale.
+            state.scratch_hint = (fresh_rows * 2).max(state.scratch_hint / 2).max(1024);
+        }
+        Ok(delta)
+    }
+
+    /// Materialize-arm reduce: Algorithm 1's lines 10–13 over the buffered
+    /// `Rt`. Aggregated heads group it (recursive ones then absorb into
+    /// the sequential monotonic map); otherwise one pass absorbs it into
+    /// the persistent full-R index (`index_reuse`, recursive strata), or
+    /// FAST-DEDUP is followed by OPSD/TPSD/DSD set difference.
+    fn reduce_rt(
+        &mut self,
+        recursive: bool,
+        idb: &CompiledIdb,
+        state: &mut IdbState,
+        rt: Vec<Vec<Value>>,
+        stats: &mut EvalStats,
+    ) -> Result<Reduced> {
+        match &mut state.agg {
+            Some(AggKind::Mono(ms)) => {
+                // --- Recursive aggregation: group, then absorb. ---
+                let MonoEval::Seq(mono) = &mut ms.mono else {
+                    unreachable!("the Materialize arm builds the sequential map")
+                };
+                let t_agg = Instant::now();
+                let g = ms.group_positions.len();
+                let grouped = group_rt(self.ctx, &rt, g, &[mono.func()]);
+                let mut improved = vec![Vec::new(); g + 1];
+                let mut group = Vec::with_capacity(g);
+                for r in 0..grouped[g].len() {
+                    group.clear();
+                    group.extend(grouped[..g].iter().map(|c| c[r]));
+                    if mono.absorb(&group, grouped[g][r]) {
+                        for (dst, src) in improved.iter_mut().zip(&grouped) {
+                            dst.push(src[r]);
+                        }
+                    }
+                }
+                let cols = head_columns(
+                    idb.arity,
+                    &ms.group_positions,
+                    std::slice::from_ref(&ms.agg_position),
+                    improved,
+                );
+                stats.phase.aggregate += t_agg.elapsed();
+                stats.queries_issued += 1;
+                Ok(Reduced::Owned(owned_delta(idb, cols)))
             }
             Some(AggKind::Plain {
                 group_positions,
@@ -1555,200 +1382,119 @@ impl EvalRun<'_, '_> {
             }) => {
                 // --- Non-recursive aggregation: one group-by pass. ---
                 let t_agg = Instant::now();
-                let g = group_positions.len();
-                let group_exprs: Vec<Expr> = (0..g).map(Expr::Col).collect();
-                let aggs: Vec<AggCol> = funcs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &func)| AggCol {
-                        func,
-                        expr: Expr::Col(g + j),
-                    })
-                    .collect();
-                let grouped = recstep_exec::agg::group_aggregate(
-                    self.ctx,
-                    RelView::over(&candidates),
-                    &group_exprs,
-                    &aggs,
-                );
-                let rows = grouped.first().map_or(0, Vec::len);
-                let mut cols = vec![Vec::with_capacity(rows); idb.arity];
-                for (gi, &pos) in group_positions.iter().enumerate() {
-                    cols[pos] = grouped[gi].clone();
-                }
-                for (j, &pos) in agg_positions.iter().enumerate() {
-                    cols[pos] = grouped[g + j].clone();
-                }
+                let grouped = group_rt(self.ctx, &rt, group_positions.len(), funcs);
+                let cols = head_columns(idb.arity, group_positions, agg_positions, grouped);
                 stats.phase.aggregate += t_agg.elapsed();
-                let rel = self.catalog.rel_mut(state.rel_id);
-                state.old_len = rel.len();
-                rel.append_columns(cols);
-                let delta = DeltaBuf::Range(state.old_len, rel.len());
+                stats.queries_issued += 1;
+                Ok(Reduced::Rows(cols))
+            }
+            None if self.cfg.index_reuse && recursive => {
+                // --- Fused Rδ ← dedup(Rt), ∆R ← Rδ − R against the
+                // persistent full-R index: one pass over Rt; the index is
+                // built once for the stratum and synced at every commit. ---
+                let t_fused = Instant::now();
+                let index =
+                    self.sync_full_index(&mut state.full_index, state.rel_id, idb.arity, stats);
                 let rel = self.catalog.rel(state.rel_id);
+                let outcome = index.absorb(self.ctx, RelView::over(&rt), rel.view());
+                if outcome.rebuilt {
+                    // Compact-key invalidation: a candidate escaped the
+                    // packed layout; the index fell back to hashed and
+                    // rebuilt once.
+                    stats.index.note_full_sync(SyncAction::Rebuilt, rel.len());
+                }
+                stats.index.scratch_builds += 1;
+                let held = index.heap_bytes() + outcome.scratch_bytes;
+                stats.index.bytes_peak = stats.index.bytes_peak.max(held);
+                stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes() + held);
+                drop(rt);
+                stats.phase.dedup += t_fused.elapsed();
+                stats.fused_runs += 1;
+                // One fused query replaces the dedup INSERT and the
+                // difference query of the rebuild path.
+                stats.queries_issued += 1;
+                Ok(Reduced::Rows(outcome.fresh))
+            }
+            None => {
+                // --- Rδ ← dedup(Rt) ---
+                let t_dedup = Instant::now();
+                let budget_rows = self.cfg.mem_budget_bytes / (idb.arity.max(1) * 16);
+                // Conservative distinct approximation for table sizing,
+                // every OOF mode: min(memory, |Rt|) (paper §5.1).
+                let distinct_hint = rt.first().map_or(0, Vec::len).min(budget_rows);
+                let dedup_out =
+                    deduplicate(self.ctx, RelView::over(&rt), self.cfg.dedup, distinct_hint);
+                drop(rt);
+                stats.phase.dedup += t_dedup.elapsed();
+                stats.queries_issued += 1;
+                stats.index.scratch_builds += dedup_out.tables_built;
+                stats.peak_bytes = stats
+                    .peak_bytes
+                    .max(self.catalog.heap_bytes() + dedup_out.table_bytes);
+                let rdelta = dedup_out.cols;
                 spill_temp(
                     self.cfg,
                     &mut self.disk,
-                    &idb.delta_name,
-                    delta.view(rel),
+                    &idb.rdelta_name,
+                    RelView::over(&rdelta),
                     stats,
                 )?;
-                if let Some(disk) = self.disk.as_deref_mut() {
-                    let rel = self.catalog.rel(state.rel_id);
-                    let t_io = Instant::now();
-                    disk.note_dirty(rel)?;
-                    stats.phase.io += t_io.elapsed();
-                }
-                stats.queries_issued += 1;
-                return Ok(delta);
-            }
-            None => {}
-        }
 
-        if self.cfg.index_reuse && stratum.recursive {
-            // --- Fused Rδ ← dedup(Rt), ∆R ← Rδ − R against the persistent
-            // full-R index: one pass over Rt, the full-R table is built
-            // once for the stratum and appended after every merge. ---
-            let t_fused = Instant::now();
-            if state.full_index.is_none() {
-                let rel = self.catalog.rel(state.rel_id);
-                stats.index.full_builds += 1;
-                stats.index.build_rows += rel.len();
-                state.full_index = Some(PersistentIndex::build(
+                // --- ∆R ← Rδ − R ---
+                let t_diff = Instant::now();
+                let full = self.catalog.rel(state.rel_id).view();
+                let builds_before = state.dsd.tables_built;
+                let (diff, algo) = set_difference(
                     self.ctx,
-                    rel.view(),
-                    (0..idb.arity).collect(),
-                ));
+                    RelView::over(&rdelta),
+                    full,
+                    self.cfg.setdiff,
+                    &mut state.dsd,
+                );
+                stats.phase.setdiff += t_diff.elapsed();
+                stats.note_setdiff(algo);
+                // Every set-difference table is rebuilt from scratch on
+                // this path; that per-iteration rebuild is what
+                // `index_reuse` eliminates.
+                stats.index.full_builds += state.dsd.tables_built - builds_before;
+                stats.queries_issued += 1;
+                Ok(Reduced::Rows(diff))
             }
-            let rel = self.catalog.rel(state.rel_id);
-            let index = state.full_index.as_mut().expect("built above");
-            let outcome = index.absorb(self.ctx, RelView::over(&candidates), rel.view());
-            if outcome.rebuilt {
-                // Compact-key invalidation: a candidate escaped the packed
-                // layout; the index fell back to hashed and rebuilt once.
-                stats.index.full_builds += 1;
-                stats.index.build_rows += rel.len();
-            }
-            stats.index.scratch_builds += 1;
-            stats.index.bytes_peak = stats
-                .index
-                .bytes_peak
-                .max(index.heap_bytes() + outcome.scratch_bytes);
-            stats.peak_bytes = stats
-                .peak_bytes
-                .max(self.catalog.heap_bytes() + index.heap_bytes() + outcome.scratch_bytes);
-            drop(candidates);
-            stats.phase.dedup += t_fused.elapsed();
-            stats.fused_runs += 1;
-            // One fused query replaces the dedup INSERT and the difference
-            // query of the rebuild path.
-            stats.queries_issued += 1;
-
-            // --- R ← R ⊎ ∆R: one shard append, ∆R stays a row range. ---
-            let t_merge = Instant::now();
-            let rel = self.catalog.rel_mut(state.rel_id);
-            state.old_len = rel.len();
-            rel.append_columns(outcome.fresh);
-            let delta = DeltaBuf::Range(state.old_len, rel.len());
-            stats.phase.merge += t_merge.elapsed();
-
-            // Maintain the index over the merged rows (incremental).
-            let t_index = Instant::now();
-            let rel = self.catalog.rel(state.rel_id);
-            let index = state.full_index.as_mut().expect("built above");
-            match index.append(self.ctx, rel.view()) {
-                SyncAction::Appended(n) => {
-                    stats.index.full_appends += 1;
-                    stats.index.append_rows += n;
-                }
-                SyncAction::Reused => {}
-                SyncAction::Rebuilt => {
-                    stats.index.full_builds += 1;
-                    stats.index.build_rows += rel.len();
-                }
-            }
-            stats.index.bytes_peak = stats.index.bytes_peak.max(index.heap_bytes());
-            stats.phase.index += t_index.elapsed();
-
-            let rel = self.catalog.rel(state.rel_id);
-            spill_temp(
-                self.cfg,
-                &mut self.disk,
-                &idb.delta_name,
-                delta.view(rel),
-                stats,
-            )?;
-            if let Some(disk) = self.disk.as_deref_mut() {
-                let rel = self.catalog.rel(state.rel_id);
-                let t_io = Instant::now();
-                disk.note_dirty(rel)?;
-                stats.phase.io += t_io.elapsed();
-            }
-            return Ok(delta);
         }
+    }
 
-        // --- Rδ ← dedup(Rt) ---
-        let t_dedup = Instant::now();
-        let budget_rows = self.cfg.mem_budget_bytes / (idb.arity.max(1) * 16);
-        // Conservative distinct approximation for table sizing, every OOF
-        // mode: min(memory, |Rt|) (paper §5.1).
-        let distinct_hint = produced.min(budget_rows);
-        let dedup_out = deduplicate(
-            self.ctx,
-            RelView::over(&candidates),
-            self.cfg.dedup,
-            distinct_hint,
-        );
-        drop(candidates);
-        stats.phase.dedup += t_dedup.elapsed();
-        stats.queries_issued += 1;
-        stats.index.scratch_builds += dedup_out.tables_built;
-        stats.peak_bytes = stats
-            .peak_bytes
-            .max(self.catalog.heap_bytes() + dedup_out.table_bytes);
-        let rdelta = dedup_out.cols;
-        spill_temp(
-            self.cfg,
-            &mut self.disk,
-            &idb.rdelta_name,
-            RelView::over(&rdelta),
-            stats,
-        )?;
-
-        // --- ∆R ← Rδ − R ---
-        let t_diff = Instant::now();
-        let full = self.catalog.rel(state.rel_id).view();
-        let builds_before = state.dsd.tables_built;
-        let (diff, algo) = set_difference(
-            self.ctx,
-            RelView::over(&rdelta),
-            full,
-            self.cfg.setdiff,
-            &mut state.dsd,
-        );
-        stats.phase.setdiff += t_diff.elapsed();
-        stats.note_setdiff(algo);
-        // Every set-difference table is rebuilt from scratch on this path;
-        // that per-iteration rebuild is what `index_reuse` eliminates.
-        stats.index.full_builds += state.dsd.tables_built - builds_before;
-        stats.queries_issued += 1;
-
-        // --- R ← R ⊎ ∆R: one shard append, ∆R stays a row range. ---
+    /// Commit one step's ∆R: append the rows to `R` as one shard, keep the
+    /// full-R index (if any) in sync, spill the ∆ temp (per-query commit
+    /// mode) and note `R` dirty. Returns ∆R as the appended row range.
+    fn commit(
+        &mut self,
+        rel_id: RelId,
+        full_index: Option<&mut PersistentIndex>,
+        delta_name: &str,
+        rows: Vec<Vec<Value>>,
+        scratch_bytes: usize,
+        stats: &mut EvalStats,
+    ) -> Result<DeltaBuf> {
         let t_merge = Instant::now();
-        let rel = self.catalog.rel_mut(state.rel_id);
-        state.old_len = rel.len();
-        rel.append_columns(diff);
-        let delta = DeltaBuf::Range(state.old_len, rel.len());
+        let rel = self.catalog.rel_mut(rel_id);
+        let start = rel.len();
+        rel.append_columns(rows);
+        let delta = DeltaBuf::Range(start, rel.len());
         stats.phase.merge += t_merge.elapsed();
-        let rel = self.catalog.rel(state.rel_id);
-        spill_temp(
-            self.cfg,
-            &mut self.disk,
-            &idb.delta_name,
-            delta.view(rel),
-            stats,
-        )?;
+        if let Some(index) = full_index {
+            let t_index = Instant::now();
+            let rel = self.catalog.rel(rel_id);
+            stats
+                .index
+                .note_full_sync(index.append(self.ctx, rel.view()), rel.len());
+            let held = index.heap_bytes() + scratch_bytes;
+            stats.index.bytes_peak = stats.index.bytes_peak.max(held);
+            stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes() + held);
+            stats.phase.index += t_index.elapsed();
+        }
+        let rel = self.catalog.rel(rel_id);
+        spill_temp(self.cfg, &mut self.disk, delta_name, delta.view(rel), stats)?;
         if let Some(disk) = self.disk.as_deref_mut() {
-            let rel = self.catalog.rel(state.rel_id);
             let t_io = Instant::now();
             disk.note_dirty(rel)?;
             stats.phase.io += t_io.elapsed();
@@ -2074,7 +1820,7 @@ impl EvalRun<'_, '_> {
     }
 
     /// Stream ∆-seeding derivations for one cluster IDB through a
-    /// [`DeltaSink`] against its carried full-R index and append the
+    /// [`DeltaSink`] against its carried full-R index and commit the
     /// winners: each member rule runs once per scan position that reads
     /// an input in `plus_cols` — that position pinned to the new tuples,
     /// everything else at current full views (an over-approximation the
@@ -2082,54 +1828,30 @@ impl EvalRun<'_, '_> {
     fn seed_idb(
         &mut self,
         members: &[&CompiledStratum],
-        rel_name: &str,
-        arity: usize,
+        idb: &CompiledIdb,
         plus_cols: &FxHashMap<String, Vec<Vec<Value>>>,
         index_carry: &mut FxHashMap<RelId, PersistentIndex>,
         stats: &mut EvalStats,
     ) -> Result<usize> {
         let rel_id = self
             .catalog
-            .lookup(rel_name)
-            .ok_or_else(|| Error::exec(format!("unknown relation '{rel_name}'")))?;
-        let mut full_index = match index_carry.remove(&rel_id) {
-            Some(index) => index,
-            None => {
-                let rel = self.catalog.rel(rel_id);
-                stats.index.full_builds += 1;
-                stats.index.build_rows += rel.len();
-                PersistentIndex::build(self.ctx, rel.view(), (0..arity).collect())
-            }
-        };
-        {
-            let rel = self.catalog.rel(rel_id);
-            if full_index.rows() != rel.len() {
-                let t_index = Instant::now();
-                match full_index.append(self.ctx, rel.view()) {
-                    SyncAction::Appended(n) => {
-                        stats.index.full_appends += 1;
-                        stats.index.append_rows += n;
-                    }
-                    SyncAction::Reused => {}
-                    SyncAction::Rebuilt => {
-                        stats.index.full_builds += 1;
-                        stats.index.build_rows += rel.len();
-                    }
-                }
-                stats.phase.index += t_index.elapsed();
-            }
-        }
+            .lookup(&idb.rel)
+            .ok_or_else(|| Error::exec(format!("unknown relation '{}'", idb.rel)))?;
+        let mut full_index = index_carry.remove(&rel_id);
+        let t_index = Instant::now();
+        self.sync_full_index(&mut full_index, rel_id, idb.arity, stats);
+        stats.phase.index += t_index.elapsed();
         let t_pipe = Instant::now();
         let evaluated = {
-            let base = self.catalog.rel(rel_id).view();
-            let sink = DeltaSink::new(&full_index, base, 1024);
+            let index = full_index.as_ref().expect("synced above");
+            let sink = DeltaSink::new(index, self.catalog.rel(rel_id).view(), 1024);
             let mode = SinkMode::Delta(&sink);
-            let mut fresh: Vec<Vec<Value>> = vec![Vec::new(); arity];
+            let mut fresh: Vec<Vec<Value>> = vec![Vec::new(); idb.arity];
             let mut err = None;
             'eval: for stratum in members {
-                for idb in stratum.idbs.iter().filter(|i| i.rel == rel_name) {
+                for member in stratum.idbs.iter().filter(|i| i.rel == idb.rel) {
                     let mut seen_rules = FxHashSet::default();
-                    for sq in &idb.subqueries {
+                    for sq in &member.subqueries {
                         if !seen_rules.insert(sq.rule_idx) {
                             continue;
                         }
@@ -2142,11 +1864,7 @@ impl EvalRun<'_, '_> {
                             match self.eval_maintenance(stratum, sq, &ovr, &mode) {
                                 Ok(cols) => {
                                     for (dst, mut src) in fresh.iter_mut().zip(cols) {
-                                        if dst.is_empty() {
-                                            *dst = src;
-                                        } else {
-                                            dst.append(&mut src);
-                                        }
+                                        dst.append(&mut src);
                                     }
                                 }
                                 Err(e) => {
@@ -2160,50 +1878,35 @@ impl EvalRun<'_, '_> {
             }
             match err {
                 Some(e) => Err(e),
-                None => Ok((fresh, sink.take_overflow(), sink.considered())),
+                None => Ok((
+                    fresh,
+                    sink.take_overflow(),
+                    sink.considered(),
+                    sink.scratch_bytes(),
+                )),
             }
         };
-        let (mut fresh, overflow, considered) = match evaluated {
+        let (mut fresh, overflow, considered, scratch_bytes) = match evaluated {
             Ok(v) => v,
             Err(e) => {
-                index_carry.insert(rel_id, full_index);
+                index_carry.extend(full_index.map(|index| (rel_id, index)));
                 return Err(e);
             }
         };
-        // Compact-key escapes are new w.r.t. R and the sink's winners;
-        // they only need dedup among themselves (as on the fused path).
-        if !overflow.is_empty() {
-            let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-            for row in &overflow {
-                if seen.insert(row.clone()) {
-                    for (col, &v) in fresh.iter_mut().zip(row) {
-                        col.push(v);
-                    }
-                }
-            }
-        }
+        append_overflow(&mut fresh, &overflow);
         let fresh_rows = fresh.first().map_or(0, Vec::len);
         stats.tuples_considered += considered;
         stats.index.scratch_builds += 1;
         stats.phase.pipeline += t_pipe.elapsed();
-        if fresh_rows > 0 {
-            self.catalog.rel_mut(rel_id).append_columns(fresh);
-            let t_index = Instant::now();
-            let rel = self.catalog.rel(rel_id);
-            match full_index.append(self.ctx, rel.view()) {
-                SyncAction::Appended(n) => {
-                    stats.index.full_appends += 1;
-                    stats.index.append_rows += n;
-                }
-                SyncAction::Reused => {}
-                SyncAction::Rebuilt => {
-                    stats.index.full_builds += 1;
-                    stats.index.build_rows += rel.len();
-                }
-            }
-            stats.phase.index += t_index.elapsed();
-        }
-        index_carry.insert(rel_id, full_index);
+        self.commit(
+            rel_id,
+            full_index.as_mut(),
+            &idb.delta_name,
+            fresh,
+            scratch_bytes,
+            stats,
+        )?;
+        index_carry.extend(full_index.map(|index| (rel_id, index)));
         Ok(fresh_rows)
     }
 
@@ -2251,8 +1954,7 @@ impl EvalRun<'_, '_> {
             starts.insert(id, self.catalog.rel(id).len());
         }
         for idb in &rec.idbs {
-            let seeded =
-                self.seed_idb(members, &idb.rel, idb.arity, &plus_cols, index_carry, stats)?;
+            let seeded = self.seed_idb(members, idb, &plus_cols, index_carry, stats)?;
             stats.view.view_tuples_seeded += seeded as u64;
         }
         self.run_stratum(
@@ -2499,6 +2201,124 @@ fn spill_temp(
     Ok(())
 }
 
+/// ∆R as a step's reduce stage leaves it.
+enum Reduced {
+    /// Rows to append to `R`; the commit returns them as a row range.
+    Rows(Vec<Vec<Value>>),
+    /// A recursive aggregate's improved groups, owned apart from `R`.
+    Owned(Relation),
+}
+
+/// Agg-arm reduce: flush the sink's aggregate state into ∆R — a recursive
+/// head's strictly improved groups off the concurrent map's dirty list
+/// (each once, with its final value), or a group-by head's merged shard
+/// partials — in head layout.
+fn flush_agg(
+    idb: &CompiledIdb,
+    state: &mut IdbState,
+    groups: Option<GroupSink>,
+    stats: &mut EvalStats,
+) -> Reduced {
+    let t_agg = Instant::now();
+    let reduced = match &mut state.agg {
+        Some(AggKind::Mono(ms)) => {
+            let MonoEval::Conc(map) = &mut ms.mono else {
+                unreachable!("the Agg arm builds the concurrent map")
+            };
+            let improved = map.take_improved();
+            map.maybe_rehash();
+            let g = ms.group_positions.len();
+            let mut grouped = vec![Vec::new(); g + 1];
+            for row in improved.chunks(g + 1) {
+                for (dst, &v) in grouped.iter_mut().zip(row) {
+                    dst.push(v);
+                }
+            }
+            let cols = head_columns(
+                idb.arity,
+                &ms.group_positions,
+                std::slice::from_ref(&ms.agg_position),
+                grouped,
+            );
+            let delta = owned_delta(idb, cols);
+            stats.agg_groups_improved += delta.len();
+            Reduced::Owned(delta)
+        }
+        Some(AggKind::Plain {
+            group_positions,
+            agg_positions,
+            ..
+        }) => {
+            let grouped = groups
+                .expect("group-by heads fold into a GroupSink")
+                .into_columns();
+            stats.agg_groups_improved += grouped.first().map_or(0, Vec::len);
+            Reduced::Rows(head_columns(
+                idb.arity,
+                group_positions,
+                agg_positions,
+                grouped,
+            ))
+        }
+        None => unreachable!("the Agg arm runs aggregated heads only"),
+    };
+    stats.phase.aggregate += t_agg.elapsed();
+    reduced
+}
+
+/// Group a materialized pre-aggregation `Rt` (`[group ‖ arguments]`) on
+/// its first `g` columns, one aggregate per function.
+fn group_rt(ctx: &ExecCtx, rt: &[Vec<Value>], g: usize, funcs: &[AggFunc]) -> Vec<Vec<Value>> {
+    let group_exprs: Vec<Expr> = (0..g).map(Expr::Col).collect();
+    let aggs: Vec<AggCol> = funcs
+        .iter()
+        .enumerate()
+        .map(|(j, &func)| AggCol {
+            func,
+            expr: Expr::Col(g + j),
+        })
+        .collect();
+    recstep_exec::agg::group_aggregate(ctx, RelView::over(rt), &group_exprs, &aggs)
+}
+
+/// Scatter `[group ‖ aggregate]` columns into head-position order.
+fn head_columns(
+    arity: usize,
+    group_positions: &[usize],
+    agg_positions: &[usize],
+    grouped: Vec<Vec<Value>>,
+) -> Vec<Vec<Value>> {
+    let mut cols = vec![Vec::new(); arity];
+    for (col, &pos) in grouped
+        .into_iter()
+        .zip(group_positions.iter().chain(agg_positions))
+    {
+        cols[pos] = col;
+    }
+    cols
+}
+
+/// A recursive aggregate's ∆R, owned apart from `R`.
+fn owned_delta(idb: &CompiledIdb, cols: Vec<Vec<Value>>) -> Relation {
+    let mut delta = Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
+    delta.append_columns(cols);
+    delta
+}
+
+/// Append a delta sink's compact-key escapes to its fresh rows, deduped
+/// among themselves. An escape equals no packed-fitting tuple (a tuple
+/// fits iff each value fits), so it is new w.r.t. `R` and the winners.
+fn append_overflow(fresh: &mut [Vec<Value>], overflow: &[Vec<Value>]) {
+    let mut seen: FxHashSet<&[Value]> = FxHashSet::default();
+    for row in overflow {
+        if seen.insert(row) {
+            for (col, &v) in fresh.iter_mut().zip(row) {
+                col.push(v);
+            }
+        }
+    }
+}
+
 /// Record first-iteration build-side choices (OOF-NA freezing).
 fn freeze_choices(
     catalog: &RunCatalog<'_>,
@@ -2527,11 +2347,7 @@ fn scan_rows(
     scan_idx: usize,
 ) -> usize {
     let scan = &sq.scans[scan_idx];
-    let state = stratum
-        .idbs
-        .iter()
-        .position(|i| i.rel == scan.rel)
-        .map(|p| &states[p]);
+    let state = find_state(stratum, states, &scan.rel);
     match scan.version {
         AtomVersion::Base | AtomVersion::Full => catalog
             .lookup(&scan.rel)
@@ -2557,7 +2373,7 @@ fn estimate_left_rows(
 
 /// Worst-case-optimal-join accounting carried out of subquery evaluation
 /// (folded into [`EvalStats::wcoj_runs`] / [`EvalStats::wcoj_rows_emitted`]
-/// by the step functions).
+/// by the step driver).
 #[derive(Default, Clone, Copy)]
 struct WcojTally {
     /// Subqueries dispatched to the generic join.
@@ -2655,16 +2471,15 @@ fn eval_idb(
     })
 }
 
-/// Evaluate one subquery to its head layout.
-///
-/// `sink` applies only to the subquery's *final* operator — the one
-/// projecting to the head layout; intermediate join results materialize
-/// as before (they feed the next join, not `Rt`).
 /// Per-scan-position view replacements for incremental-maintenance passes
 /// (see [`eval_subquery`]'s `overrides` parameter).
 type ScanOverrides<'v> = FxHashMap<usize, RelView<'v>>;
 
 /// Evaluate one subquery to its head layout.
+///
+/// `sink` applies only to the subquery's *final* operator — the one
+/// projecting to the head layout; intermediate join results materialize
+/// as before (they feed the next join, not `Rt`).
 ///
 /// With `overrides`, the subquery is evaluated as a *maintenance pass*:
 /// an overridden scan position reads the given view instead of its

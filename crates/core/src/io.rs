@@ -76,6 +76,11 @@ pub fn write_relation_csv(db: &Database, name: &str, path: &Path) -> Result<usiz
 /// load every `.input` relation from `facts_dir/<name>.facts` into `db`,
 /// evaluate, and write every `.output` relation to `out_dir/<name>.csv`.
 /// Returns the evaluation statistics plus `(relation, rows)` pairs written.
+///
+/// A relation some rule body reads must come from somewhere: derived by
+/// the program, declared `.input`, given inline facts, or already in
+/// `db`. Otherwise the run fails naming it, rather than evaluating the
+/// relation as silently empty (a forgotten `.input` line).
 pub fn run_datalog_file(
     prepared: &PreparedProgram,
     db: &mut Database,
@@ -89,6 +94,12 @@ pub fn run_datalog_file(
             .arity_of(name)
             .ok_or_else(|| Error::exec(format!("unknown input relation '{name}'")))?;
         load_facts_file(db, name, arity, &facts_dir.join(format!("{name}.facts")))?;
+    }
+    if let Some(name) = unprovided_body_relation(prepared, db) {
+        return Err(Error::exec(format!(
+            "relation '{name}' is read by a rule but never provided: declare \
+             `.input {name}`, state its facts inline, or derive it"
+        )));
     }
     let stats = prepared.run(db)?;
     // Write .output relations (default: every IDB when none declared).
@@ -107,6 +118,27 @@ pub fn run_datalog_file(
         written.push((name, rows));
     }
     Ok((stats, written))
+}
+
+/// The first relation a rule body reads (positively or negated) that is
+/// not derived, not `.input`, has no inline facts, and is absent from `db`.
+fn unprovided_body_relation<'p>(prepared: &'p PreparedProgram, db: &Database) -> Option<&'p str> {
+    let prog = prepared.compiled();
+    let provided = |name: &str| {
+        prog.idb_names().any(|n| n == name)
+            || prog.inputs.iter().any(|n| n == name)
+            || prog.facts.iter().any(|(n, _)| n == name)
+            || db.relation(name).is_some()
+    };
+    prog.strata
+        .iter()
+        .flat_map(|s| &s.idbs)
+        .flat_map(|idb| &idb.subqueries)
+        .flat_map(|sq| {
+            let scans = sq.scans.iter().map(|s| s.rel.as_str());
+            scans.chain(sq.negations.iter().map(|n| n.rel.as_str()))
+        })
+        .find(|name| !provided(name))
 }
 
 #[cfg(test)]
@@ -182,6 +214,16 @@ mod tests {
         let mut db = Database::new().unwrap();
         let err = run_datalog_file(&prepared, &mut db, &dir, &dir.join("out")).unwrap_err();
         assert!(err.to_string().contains("cannot open"), "{err}");
+        // Without `.input`, a body relation nothing provides must not
+        // evaluate as silently empty either.
+        let undeclared = engine.prepare("tc(x, y) :- arc(x, y).\n").unwrap();
+        let mut db = Database::new().unwrap();
+        let err = run_datalog_file(&undeclared, &mut db, &dir, &dir.join("out")).unwrap_err();
+        assert!(err.to_string().contains("'arc'"), "{err}");
+        // Loaded through the API instead, it is provided.
+        db.load_edges("arc", &[(0, 1)]).unwrap();
+        let (_, written) = run_datalog_file(&undeclared, &mut db, &dir, &dir.join("out")).unwrap();
+        assert_eq!(written, vec![("tc".to_string(), 1)]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

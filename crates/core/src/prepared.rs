@@ -48,7 +48,25 @@ impl PreparedProgram {
     /// busy time, so per-run CPU attribution blurs — wall times and
     /// result counts stay exact.)
     pub fn run(&self, db: &mut Database) -> Result<EvalStats> {
-        run_compiled(&self.engine, db, &self.compiled)
+        let (cfg, ctx, alpha) = self.engine.parts();
+        let cache = db.index_cache().clone();
+        let (catalog, disk) = db.eval_parts();
+        // EOST is an engine policy; the store belongs to the database.
+        disk.set_mode(if cfg.eost {
+            CommitMode::Eost
+        } else {
+            CommitMode::PerQuery
+        });
+        EvalRun {
+            cfg,
+            ctx,
+            alpha,
+            catalog: RunCatalog::Exclusive(catalog),
+            disk: Some(disk),
+            cache: cfg.shared_index_cache.then_some(&*cache),
+            cancel: None,
+        }
+        .run(&self.compiled)
     }
 
     /// Evaluate over a *shared* database to fixpoint, without mutating it.
@@ -130,7 +148,22 @@ impl PreparedProgram {
     /// Render the backend SQL this program executes (UIE form), stratum by
     /// stratum — the paper's Figure 4 view of any program.
     pub fn explain_sql(&self) -> String {
-        render_program_sql(&self.compiled)
+        let mut out = String::new();
+        for (si, stratum) in self.compiled.strata.iter().enumerate() {
+            out.push_str(&format!(
+                "-- stratum {si} ({})\n",
+                if stratum.recursive {
+                    "recursive"
+                } else {
+                    "non-recursive"
+                }
+            ));
+            for idb in &stratum.idbs {
+                out.push_str(&sqlgen::render_uie(idb));
+                out.push('\n');
+            }
+        }
+        out
     }
 
     /// The underlying compiled plan.
@@ -152,57 +185,6 @@ impl PreparedProgram {
     pub fn outputs(&self) -> &[String] {
         &self.compiled.outputs
     }
-}
-
-/// One evaluation of a compiled program over a database — the single
-/// place wiring engine policy (EOST commit mode, config, pool) to the
-/// database's catalog and store. Both [`PreparedProgram::run`] and the
-/// deprecated `RecStep` shim go through here.
-pub(crate) fn run_compiled(
-    engine: &Engine,
-    db: &mut Database,
-    compiled: &CompiledProgram,
-) -> Result<EvalStats> {
-    let (cfg, ctx, alpha) = engine.parts();
-    let cache = db.index_cache().clone();
-    let (catalog, disk) = db.eval_parts();
-    // EOST is an engine policy; the store belongs to the database.
-    disk.set_mode(if cfg.eost {
-        CommitMode::Eost
-    } else {
-        CommitMode::PerQuery
-    });
-    EvalRun {
-        cfg,
-        ctx,
-        alpha,
-        catalog: RunCatalog::Exclusive(catalog),
-        disk: Some(disk),
-        cache: cfg.shared_index_cache.then_some(&*cache),
-        cancel: None,
-    }
-    .run(compiled)
-}
-
-/// Shared SQL rendering for `explain_sql` and the deprecated
-/// `RecStep::explain`.
-pub(crate) fn render_program_sql(compiled: &CompiledProgram) -> String {
-    let mut out = String::new();
-    for (si, stratum) in compiled.strata.iter().enumerate() {
-        out.push_str(&format!(
-            "-- stratum {si} ({})\n",
-            if stratum.recursive {
-                "recursive"
-            } else {
-                "non-recursive"
-            }
-        ));
-        for idb in &stratum.idbs {
-            out.push_str(&sqlgen::render_uie(idb));
-            out.push('\n');
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use std::time::Duration;
 
+use recstep_exec::index::SyncAction;
 use recstep_exec::setdiff::SetDiffAlgo;
 
 /// Wall-clock time spent in each engine phase.
@@ -229,6 +230,22 @@ impl PhaseTimes {
 }
 
 impl IndexStats {
+    /// Count one build or sync of a persistent full-R index over a
+    /// relation of `rows` rows.
+    pub(crate) fn note_full_sync(&mut self, action: SyncAction, rows: usize) {
+        match action {
+            SyncAction::Reused => {}
+            SyncAction::Appended(n) => {
+                self.full_appends += 1;
+                self.append_rows += n;
+            }
+            SyncAction::Rebuilt => {
+                self.full_builds += 1;
+                self.build_rows += rows;
+            }
+        }
+    }
+
     fn merge(&mut self, other: &IndexStats) {
         self.full_builds += other.full_builds;
         self.full_appends += other.full_appends;

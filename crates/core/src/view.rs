@@ -45,7 +45,7 @@ use recstep_storage::{Catalog, RunCatalog};
 
 use crate::config::{Config, PbmeMode};
 use crate::db::{Database, RunOutput};
-use crate::eval::{EvalRun, RefreshDeltas};
+use crate::eval::{delta_arm_applies, EvalRun, RefreshDeltas};
 use crate::prepared::PreparedProgram;
 use crate::stats::{EvalStats, ViewStats};
 
@@ -66,7 +66,7 @@ fn program_eligible(prog: &CompiledProgram) -> bool {
 /// Maintenance re-enters the fused streaming fixpoint with carried
 /// indexes; ablations that disable that stack get scratch fallbacks.
 fn config_eligible(cfg: &Config) -> bool {
-    cfg.incremental_views && cfg.fused_pipeline && cfg.index_reuse && cfg.uie && cfg.eost
+    cfg.incremental_views && delta_arm_applies(cfg)
 }
 
 /// A standing materialized view: one prepared program's results over one

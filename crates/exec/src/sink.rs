@@ -280,19 +280,25 @@ pub enum AggTarget<'a> {
 /// statistics OOF-FA would otherwise re-scan `Rt` for.
 pub struct AggSink<'a> {
     target: AggTarget<'a>,
-    sampler: Option<SinkSampler>,
+    sampler: Option<&'a SinkSampler>,
     considered: AtomicUsize,
 }
 
 impl<'a> AggSink<'a> {
-    /// Sink folding rows into `target`, sampling for statistics when
-    /// `sampler` is given (the OOF-FA path).
-    pub fn new(target: AggTarget<'a>, sampler: Option<SinkSampler>) -> Self {
+    /// Sink folding rows into `target`.
+    pub fn new(target: AggTarget<'a>) -> Self {
         AggSink {
             target,
-            sampler,
+            sampler: None,
             considered: AtomicUsize::new(0),
         }
+    }
+
+    /// Attach a statistics sampler (the OOF-FA path), as
+    /// [`DeltaSink::with_sampler`] does.
+    pub fn with_sampler(mut self, sampler: &'a SinkSampler) -> Self {
+        self.sampler = Some(sampler);
+        self
     }
 
     /// Offer one produced row in pre-aggregation layout
@@ -307,7 +313,7 @@ impl<'a> AggSink<'a> {
             }
             AggTarget::Group(g) => g.absorb_row(row),
         }
-        if let Some(s) = &self.sampler {
+        if let Some(s) = self.sampler {
             s.offer(row);
         }
     }
@@ -324,11 +330,6 @@ impl<'a> AggSink<'a> {
     /// path, folded at source instead of being buffered.
     pub fn considered(&self) -> usize {
         self.considered.load(Ordering::Relaxed)
-    }
-
-    /// The statistics sampler, when sampling was requested.
-    pub fn sampler(&self) -> Option<&SinkSampler> {
-        self.sampler.as_ref()
     }
 }
 
@@ -460,15 +461,16 @@ mod tests {
         use crate::agg::ConcurrentMonoMap;
         use crate::expr::AggFunc;
         let mut map = ConcurrentMonoMap::new(AggFunc::Min, 1, 8).unwrap();
+        let sampler = SinkSampler::new(2, 4);
         {
-            let sink = AggSink::new(AggTarget::Mono(&map), Some(SinkSampler::new(2, 4)));
+            let sink = AggSink::new(AggTarget::Mono(&map)).with_sampler(&sampler);
             sink.offer(&[1, 10]);
             sink.offer(&[1, 7]);
             sink.offer(&[2, 3]);
             sink.note_considered(3);
             assert_eq!(sink.considered(), 3);
-            assert_eq!(sink.sampler().unwrap().seen(), 3);
         }
+        assert_eq!(sampler.seen(), 3);
         assert_eq!(map.get(&[1]), Some(7));
         assert_eq!(map.take_improved().len(), 2 * 2);
     }
@@ -478,11 +480,10 @@ mod tests {
         use crate::agg::GroupSink;
         use crate::expr::AggFunc;
         let group = GroupSink::new(vec![AggFunc::Count], 1);
-        let sink = AggSink::new(AggTarget::Group(&group), None);
+        let sink = AggSink::new(AggTarget::Group(&group));
         sink.offer(&[5, 0]);
         sink.offer(&[5, 0]);
         sink.offer(&[6, 0]);
-        assert!(sink.sampler().is_none());
         assert_eq!(group.groups(), 2);
     }
 

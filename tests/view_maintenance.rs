@@ -46,7 +46,7 @@ const TC: &str = "tc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).";
 
 /// The differential program pool: one entry per maintenance shape.
 /// `(source, base relations, derived relations)`.
-const PROGRAMS: [(&str, &[&str], &[&str]); 5] = [
+const PROGRAMS: [(&str, &[&str], &[&str]); 7] = [
     // Linear recursion: seeded inserts, recomputed deletes.
     (TC, &["arc"], &["tc"]),
     // Non-linear recursion: both body atoms read the IDB.
@@ -74,6 +74,20 @@ const PROGRAMS: [(&str, &[&str], &[&str]); 5] = [
          reach2(x, y) :- tc(x, z), arc(z, y).",
         &["arc"],
         &["tc", "reach2"],
+    ),
+    // A head spread over several non-recursive rule-level strata, read
+    // by a counting-maintained join.
+    (
+        "u(x, y) :- arc(x, y).\nu(x, y) :- brc(y, x).\nw(x, y) :- u(x, z), brc(z, y).",
+        &["arc", "brc"],
+        &["u", "w"],
+    ),
+    // The same spread head feeding a recursive cluster.
+    (
+        "u(x, y) :- arc(x, y).\nu(x, y) :- brc(x, y).\n\
+         t(x, y) :- u(x, y).\nt(x, y) :- t(x, z), u(z, y).",
+        &["arc", "brc"],
+        &["u", "t"],
     ),
 ];
 
